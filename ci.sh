@@ -21,6 +21,15 @@ cargo clippy --workspace -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check
 
+# Codegen cold-cache gate: two loopback nodes load the same kernel from
+# an empty artifact cache at once; the per-hash single-flight must make
+# every run compile once and never fall back (DESIGN.md §14).
+for i in 1 2 3 4 5; do
+  CODEGEN_DIR=$(mktemp -d)
+  CFR_CODEGEN_DIR=$CODEGEN_DIR cargo test -p freeride-dist --test cluster cluster_compiled_run
+  rm -rf "$CODEGEN_DIR"
+done
+
 # Observability: a traced run must export a Chrome trace that
 # trace-check accepts, with engine spans present (DESIGN.md §8).
 cargo run --release -p bench --bin bench -- kmeans \
@@ -170,11 +179,11 @@ cargo build --release -p cfr-serve -p cfr-datagen
 rm -f target/ci-snode1.addr target/ci-snode2.addr target/ci-serve.addr
 target/release/cfr-datagen --out target/ci-serve-data.frds --rows 2000 --dims 4
 target/release/cfr-node --listen 127.0.0.1:0 --port-file target/ci-snode1.addr \
-  --concurrent --sessions 2 &
+  --sessions 2 &
 SNODE1=$!
 PIDS="$PIDS $SNODE1"
 target/release/cfr-node --listen 127.0.0.1:0 --port-file target/ci-snode2.addr \
-  --concurrent --sessions 2 &
+  --sessions 2 &
 SNODE2=$!
 PIDS="$PIDS $SNODE2"
 for f in target/ci-snode1.addr target/ci-snode2.addr; do

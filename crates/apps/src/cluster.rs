@@ -511,7 +511,8 @@ pub fn spawn_multi_session_loopback(
         );
         handles.push(std::thread::spawn(move || {
             for _ in 0..sessions {
-                if freeride_dist::node::serve(&listener).is_err() {
+                let opts = freeride_dist::NodeOpts::default();
+                if freeride_dist::node::serve(&listener, &opts).is_err() {
                     break;
                 }
             }

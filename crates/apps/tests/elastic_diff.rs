@@ -19,7 +19,7 @@ use cfr_apps::cluster::{
 use cfr_apps::kmeans::KmeansParams;
 use cfr_apps::pca::PcaParams;
 use cfr_apps::sparse_kmeans::SparseKmeansParams;
-use freeride_dist::node;
+use freeride_dist::{node, NodeOpts};
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -55,7 +55,7 @@ fn spawn_joiner(hub: &str) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            match node::join(&addr, 0, None) {
+            match node::join(&addr, &NodeOpts::default()) {
                 Ok(()) => return,
                 Err(e) => {
                     assert!(Instant::now() < deadline, "joiner never connected: {e}");
@@ -93,13 +93,17 @@ fn elastic_agents(
             .map(|&(_, s, r)| (s, r));
         handles.push(std::thread::spawn(move || {
             for session in 0..sessions {
-                let res = match plan {
-                    Some((leave_in, rounds)) if leave_in == session => {
-                        node::serve_leaving(&listener, rounds)
-                    }
-                    _ if slow_ms > 0 => node::serve_slow(&listener, slow_ms),
-                    _ => node::serve(&listener),
+                let opts = match plan {
+                    Some((leave_in, rounds)) if leave_in == session => NodeOpts {
+                        leave_after_rounds: Some(rounds),
+                        ..NodeOpts::default()
+                    },
+                    _ => NodeOpts {
+                        slow: Duration::from_millis(slow_ms),
+                        ..NodeOpts::default()
+                    },
                 };
+                let res = node::serve(&listener, &opts);
                 if res.is_err() {
                     break;
                 }

@@ -15,6 +15,7 @@ use cfr_apps::cluster::{
 use cfr_apps::kmeans::{self, KmeansParams};
 use cfr_apps::pca::{self, PcaParams};
 use cfr_apps::{data, Version};
+use freeride_dist::NodeOpts;
 
 fn close(a: &[f64], b: &[f64], tol: f64, what: &str) {
     assert_eq!(a.len(), b.len(), "{what} length");
@@ -44,7 +45,7 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 fn chaos_agents(
     n: usize,
     sessions: usize,
-    chaos: &[(usize, usize, usize)], // (node, kill_in_session, rounds_before_death)
+    chaos: &[(usize, usize, u32)], // (node, kill_in_session, rounds_before_death)
 ) -> (Vec<SocketAddr>, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
@@ -59,11 +60,14 @@ fn chaos_agents(
             for session in 0..sessions {
                 let res = match plan {
                     Some((kill_in, rounds)) if kill_in == session => {
-                        let r = freeride_dist::node::serve_dropping(&listener, rounds);
-                        r.ok();
+                        let opts = NodeOpts {
+                            die_after_rounds: Some(rounds),
+                            ..NodeOpts::default()
+                        };
+                        freeride_dist::node::serve(&listener, &opts).ok();
                         return; // the process is "dead" from here on
                     }
-                    _ => freeride_dist::node::serve(&listener),
+                    _ => freeride_dist::node::serve(&listener, &NodeOpts::default()),
                 };
                 if res.is_err() {
                     break;

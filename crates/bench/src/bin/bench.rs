@@ -711,8 +711,8 @@ fn run_sparse(opts: &Opts) -> Result<(), String> {
 }
 
 /// The elastic work-stealing sweep: k-means with node 0 straggling
-/// `--slow-ms` ms per grain-sized work unit, classic rounds (steal
-/// off) vs elastic rounds (steal on), per `--nodes` entry. The sweep
+/// `--slow-ms` ms per grain-sized work unit, one unit per shard (steal
+/// off) vs grain-sized units (steal on), per `--nodes` entry. The sweep
 /// enforces that the steal-on run is bit-identical across repetitions;
 /// the table and `BENCH_elastic.json` carry the makespan pair and the
 /// observed steal count.

@@ -741,19 +741,19 @@ pub struct FtSweep {
 fn chaos_cluster(
     n: usize,
     kill_node: usize,
-    kill_after: usize,
+    kill_after: u32,
 ) -> (Vec<std::net::SocketAddr>, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for id in 0..n {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         addrs.push(listener.local_addr().expect("local addr"));
+        let opts = freeride_dist::NodeOpts {
+            die_after_rounds: (id == kill_node).then_some(kill_after),
+            ..freeride_dist::NodeOpts::default()
+        };
         handles.push(std::thread::spawn(move || {
-            if id == kill_node {
-                freeride_dist::node::serve_dropping(&listener, kill_after).ok();
-            } else {
-                freeride_dist::node::serve(&listener).ok();
-            }
+            freeride_dist::node::serve(&listener, &opts).ok();
         }));
     }
     (addrs, handles)
@@ -1711,7 +1711,7 @@ pub struct ElasticPoint {
     pub grain: u64,
     /// Work units the straggler owns per round (its shard ÷ grain).
     pub units: u64,
-    /// Makespan with stealing off (classic rounds), seconds.
+    /// Makespan with stealing off (one unit per shard), seconds.
     pub off_s: f64,
     /// Makespan with stealing on (elastic rounds), seconds.
     pub on_s: f64,
@@ -1760,6 +1760,14 @@ pub struct ElasticJob {
     pub repeats: usize,
 }
 
+/// `nodes` loopback agents whose node 0 sleeps `slow_ms` before every
+/// work unit.
+fn straggler(nodes: usize, slow_ms: u64) -> Vec<freeride_dist::NodeOpts> {
+    let mut opts = vec![freeride_dist::NodeOpts::default(); nodes];
+    opts[0].slow = std::time::Duration::from_millis(slow_ms);
+    opts
+}
+
 /// Measure what shard work-stealing buys under a straggler: k-means on
 /// a loopback cluster whose node 0 processes work `slow_ms` ms per
 /// grain-sized unit slower than its peers, with stealing off vs on.
@@ -1804,9 +1812,9 @@ pub fn elastic_makespan(job: &ElasticJob, node_counts: &[usize]) -> Result<Elast
         let mut steals = 0usize;
         let mut on_bits: Option<Vec<u64>> = None;
         for _ in 0..repeats {
-            // Steal off: classic rounds, one shard message per node.
-            // The straggler pays for its whole shard before answering.
-            let fleet = LoopbackCluster::spawn_elastic(nodes, &[(0, slow_ms * units)], &[])
+            // Steal off: one unit per shard. The straggler pays for
+            // its whole shard before answering.
+            let fleet = LoopbackCluster::spawn_with(&straggler(nodes, slow_ms * units))
                 .map_err(|e| e.to_string())?;
             let t0 = std::time::Instant::now();
             let r = kmeans_cluster_ft(
@@ -1825,7 +1833,7 @@ pub fn elastic_makespan(job: &ElasticJob, node_counts: &[usize]) -> Result<Elast
                 steal_grain: grain,
                 ..ElasticPolicy::default()
             };
-            let fleet = LoopbackCluster::spawn_elastic(nodes, &[(0, slow_ms)], &[])
+            let fleet = LoopbackCluster::spawn_with(&straggler(nodes, slow_ms))
                 .map_err(|e| e.to_string())?;
             let t0 = std::time::Instant::now();
             let r = kmeans_cluster_ft(

@@ -11,8 +11,14 @@
 //! * **On disk** — `$CFR_CODEGEN_DIR` (default
 //!   `$TMPDIR/cfr-codegen-<uid>`), artifact `k<hash16>.so` next to its
 //!   `k<hash16>.rs` source. A pre-existing artifact skips `rustc`
-//!   entirely; compilation writes to a temp name and `rename`s into
-//!   place so concurrent processes race benignly.
+//!   entirely; compilation writes source and artifact under unique
+//!   temp names and `rename`s both into place, so concurrent processes
+//!   race benignly.
+//!
+//! Within one process, a per-hash single-flight lock makes concurrent
+//! cold loads of the same kernel (e.g. two loopback cluster nodes)
+//! run `rustc` once: the losers wait and then hit the memory cache.
+//! The warm path takes only the memory-cache lock.
 //!
 //! Observability: spans `codegen.emit`, `codegen.compile`,
 //! `codegen.load` on the pipeline track; counters
@@ -20,11 +26,12 @@
 //! `core.codegen_cache_hit` (disk or memory hit).
 
 use cfr_core::{CodegenError, Kernel};
-use freeride::{Recorder, TraceLevel};
+use freeride::{fnv1a64, Recorder, TraceLevel};
 use obs::AttrValue;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -60,19 +67,45 @@ pub struct LoadedKernel {
     pub source_hash: u64,
 }
 
-/// FNV-1a, 64-bit — matches the job server's program-cache hash style.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn memory_cache() -> &'static Mutex<HashMap<u64, Arc<LoadedKernel>>> {
     static CACHE: OnceLock<Mutex<HashMap<u64, Arc<LoadedKernel>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+fn memory_hit(hash: u64, recorder: Option<&Recorder>) -> Option<Arc<LoadedKernel>> {
+    let hit = memory_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(&hash)
+        .cloned()?;
+    if let Some(r) = recorder {
+        r.add_counter("core.codegen_cache_hit", 1);
+    }
+    Some(hit)
+}
+
+/// The single-flight lock of one kernel hash: held across the whole
+/// disk-cache / compile / load path of a cold load.
+fn flight_lock(hash: u64) -> Arc<Mutex<()>> {
+    static FLIGHTS: OnceLock<Mutex<HashMap<u64, Arc<Mutex<()>>>>> = OnceLock::new();
+    FLIGHTS
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .entry(hash)
+        .or_default()
+        .clone()
+}
+
+/// A file name no other writer in any process uses: pid plus a
+/// process-wide sequence number.
+fn unique_tmp(dir: &std::path::Path, hash: u64, ext: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!(
+        "k{hash:016x}.{}.{seq}.tmp.{ext}",
+        std::process::id()
+    ))
 }
 
 /// The artifact cache directory: `$CFR_CODEGEN_DIR`, or a per-user
@@ -142,12 +175,15 @@ pub fn load_or_compile(
         ],
     );
 
-    // ---- Memory cache. ----
-    if let Some(hit) = memory_cache().lock().unwrap().get(&hash) {
-        if let Some(r) = recorder {
-            r.add_counter("core.codegen_cache_hit", 1);
-        }
-        return Ok(hit.clone());
+    // ---- Memory cache, then single-flight: a thread that waited out
+    // another's cold load of this hash finds it in memory. ----
+    if let Some(hit) = memory_hit(hash, recorder) {
+        return Ok(hit);
+    }
+    let flight = flight_lock(hash);
+    let _flight = flight.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(hit) = memory_hit(hash, recorder) {
+        return Ok(hit);
     }
 
     // ---- Disk cache / compile. ----
@@ -160,10 +196,10 @@ pub fn load_or_compile(
             r.add_counter("core.codegen_cache_hit", 1);
         }
     } else {
-        let src_path = dir.join(format!("k{hash:016x}.rs"));
+        let src_path = unique_tmp(&dir, hash, "rs");
         std::fs::write(&src_path, &emitted.source)
             .map_err(|e| CodegenError::Io(format!("write {}: {e}", src_path.display())))?;
-        let tmp = dir.join(format!("k{hash:016x}.{}.tmp.so", std::process::id()));
+        let tmp = unique_tmp(&dir, hash, "so");
         let compile_start = Instant::now();
         let out = Command::new(rustc_path())
             .arg("--edition")
@@ -179,8 +215,12 @@ pub fn load_or_compile(
             .arg("-o")
             .arg(&tmp)
             .arg(&src_path)
-            .output()
-            .map_err(|e| CodegenError::RustcUnavailable(format!("{}: {e}", rustc_path())))?;
+            .output();
+        // Keep the source next to the artifact for inspection; any
+        // concurrent writer renames identical bytes over it.
+        let _ = std::fs::rename(&src_path, dir.join(format!("k{hash:016x}.rs")));
+        let out =
+            out.map_err(|e| CodegenError::RustcUnavailable(format!("{}: {e}", rustc_path())))?;
         if !out.status.success() {
             let _ = std::fs::remove_file(&tmp);
             return Err(CodegenError::Compile {
@@ -220,6 +260,9 @@ pub fn load_or_compile(
         sites: emitted.sites,
         source_hash: hash,
     });
-    memory_cache().lock().unwrap().insert(hash, loaded.clone());
+    memory_cache()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(hash, loaded.clone());
     Ok(loaded)
 }

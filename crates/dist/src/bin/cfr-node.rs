@@ -1,35 +1,34 @@
 //! cfr-node — a FREERIDE cluster node agent.
 //!
-//! Listens for a coordinator, then runs local reductions over its
-//! assigned shard of a shared dataset file via the shared-memory
-//! engine. One process serves one coordinator session by default;
-//! `--sessions N` serves N in sequence (0 = forever).
+//! Listens for a coordinator, then runs local reductions over the work
+//! units the coordinator sends it from a shared dataset file via the
+//! shared-memory engine. One process serves one coordinator session by
+//! default; `--sessions N` serves N (0 = forever), each on its own
+//! thread, so several coordinators — e.g. a cfr-serve daemon
+//! multiplexing jobs — can hold sessions at once.
 //!
 //! Every failure exits nonzero with a single `cfr-node: error: ...`
 //! line carrying the typed error, so scripts and supervisors can grep
 //! one predictable shape.
 //!
 //! ```text
-//! cfr-node [--listen ADDR] [--port-file PATH] [--sessions N] [--concurrent]
+//! cfr-node [--listen ADDR] [--port-file PATH] [--sessions N]
 //!          [--chaos-kill-after-rounds N] [--slow-ms N]
 //!          [--join ADDR] [--leave-after-rounds N]
 //!   --listen ADDR     bind address (default 127.0.0.1:0)
 //!   --port-file PATH  write the bound address to PATH once listening
 //!                     (atomic temp+rename, so pollers never read a
 //!                     partial address; lets scripts use an ephemeral port)
-//!   --sessions N      coordinator sessions to serve (default 1, 0 = forever)
-//!   --concurrent      serve sessions concurrently (thread per
-//!                     connection) instead of sequentially — required
-//!                     when a cfr-serve daemon multiplexes jobs onto
-//!                     this node
+//!   --sessions N      coordinator sessions to serve, each on its own
+//!                     thread (default 1, 0 = forever)
 //!   --chaos-kill-after-rounds N
 //!                     fault-injection: answer N rounds, then abort the
 //!                     whole process mid-round (deterministic stand-in
 //!                     for SIGKILL in recovery smoke tests)
-//!   --slow-ms N       fault-injection: sleep N ms before every round
-//!                     (or, in elastic rounds, every work unit), turning
-//!                     this node into a deterministic straggler for the
-//!                     coordinator's latency detection and the steal path
+//!   --slow-ms N       fault-injection: sleep N ms before every work
+//!                     unit, turning this node into a deterministic
+//!                     straggler for the coordinator's latency
+//!                     detection and the steal path
 //!   --join ADDR       instead of listening, dial a running coordinator's
 //!                     membership hub (ClusterConfig::elastic.join_listen)
 //!                     and serve that one job as a mid-job joiner; exits 0
@@ -42,11 +41,12 @@
 
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::time::Duration;
 
-use freeride_dist::node;
+use freeride_dist::{node, NodeOpts};
 
 const USAGE: &str = "usage: cfr-node [--listen ADDR] [--port-file PATH] [--sessions N] \
-                     [--concurrent] [--chaos-kill-after-rounds N] [--slow-ms N] \
+                     [--chaos-kill-after-rounds N] [--slow-ms N] \
                      [--join ADDR] [--leave-after-rounds N]";
 
 fn main() -> ExitCode {
@@ -58,12 +58,8 @@ fn main() -> ExitCode {
 
     let mut listen = String::from("127.0.0.1:0");
     let mut port_file: Option<String> = None;
-    let mut sessions: usize = 1;
-    let mut concurrent = false;
-    let mut chaos_rounds: Option<usize> = None;
-    let mut slow_ms: u64 = 0;
+    let mut opts = NodeOpts::default();
     let mut join: Option<String> = None;
-    let mut leave_after: Option<u32> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -77,16 +73,15 @@ fn main() -> ExitCode {
                 None => return usage_error("--port-file requires a path"),
             },
             "--sessions" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => sessions = n,
+                Some(n) => opts.sessions = n,
                 None => return usage_error("--sessions requires a count"),
             },
-            "--concurrent" => concurrent = true,
             "--chaos-kill-after-rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => chaos_rounds = Some(n),
+                Some(n) => opts.die_after_rounds = Some(n),
                 None => return usage_error("--chaos-kill-after-rounds requires a count"),
             },
             "--slow-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => slow_ms = n,
+                Some(n) => opts.slow = Duration::from_millis(n),
                 None => return usage_error("--slow-ms requires a count"),
             },
             "--join" => match args.next() {
@@ -94,7 +89,7 @@ fn main() -> ExitCode {
                 None => return usage_error("--join requires a coordinator hub address"),
             },
             "--leave-after-rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => leave_after = Some(n),
+                Some(n) => opts.leave_after_rounds = Some(n),
                 None => return usage_error("--leave-after-rounds requires a count"),
             },
             "--help" | "-h" => {
@@ -113,7 +108,7 @@ fn main() -> ExitCode {
             Err(e) => return usage_error(&format!("--join: bad address `{hub}`: {e}")),
         };
         eprintln!("cfr-node: joining coordinator hub at {addr}");
-        return match node::join(&addr, slow_ms, leave_after) {
+        return match node::join(&addr, &opts) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e.to_string()),
         };
@@ -138,43 +133,16 @@ fn main() -> ExitCode {
     }
     eprintln!("cfr-node: listening on {bound}");
 
-    if let Some(rounds) = chaos_rounds {
-        // Fault injection: answer `rounds` rounds of the first session,
-        // then die abruptly — abort() takes the whole process down with
-        // the socket mid-round, exactly like a SIGKILL.
-        match node::serve_dropping(&listener, rounds) {
-            Ok(()) => {
-                eprintln!("cfr-node: chaos kill after {rounds} rounds");
-                std::process::abort();
-            }
-            Err(e) => return fail(&e.to_string()),
-        }
+    if let Err(e) = node::serve(&listener, &opts) {
+        return fail(&e.to_string());
     }
-
-    if concurrent {
-        return match node::serve_concurrent_slow(&listener, sessions, slow_ms) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e.to_string()),
-        };
+    if let Some(rounds) = opts.die_after_rounds {
+        // Fault injection: the session severed its socket mid-round;
+        // now take the whole process down too, exactly like a SIGKILL.
+        eprintln!("cfr-node: chaos kill after {rounds} rounds");
+        std::process::abort();
     }
-
-    let mut served = 0usize;
-    loop {
-        let result = if let Some(rounds) = leave_after {
-            node::serve_leaving(&listener, rounds)
-        } else if slow_ms > 0 {
-            node::serve_slow(&listener, slow_ms)
-        } else {
-            node::serve(&listener)
-        };
-        if let Err(e) = result {
-            return fail(&e.to_string());
-        }
-        served += 1;
-        if sessions != 0 && served >= sessions {
-            return ExitCode::SUCCESS;
-        }
-    }
+    ExitCode::SUCCESS
 }
 
 /// Write the bound address atomically: temp file in the same directory,

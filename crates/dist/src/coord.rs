@@ -23,15 +23,16 @@
 //! broadcast state vector, recovery is cheap and exact:
 //!
 //! * **Node failure** ([`FtPolicy`]): when a node dies mid-round the
-//!   coordinator reassigns its row-range shards to the surviving
-//!   nodes, backs off exponentially, and re-runs the round under a
-//!   higher `attempt` (stale results from the aborted attempt are
-//!   drained by the `(round, attempt)` echo). Nodes ship one cells
-//!   frame **per shard** and the coordinator merges all shards in
-//!   ascending `first_row` order, so the global combination performs
-//!   the identical floating-point fold no matter which node computed
-//!   which shard — a recovered run is bit-identical to an undisturbed
-//!   run of the same cluster shape.
+//!   coordinator drops it, backs off exponentially, and re-runs the
+//!   round under a higher `attempt`; the placement planner
+//!   (`cfr_elastic::plan`) maps the unchanged work units onto the
+//!   survivors (stale results from the aborted attempt are drained by
+//!   the `(round, attempt)` echo). Nodes ship one cells frame **per
+//!   unit** and the coordinator merges all units in ascending
+//!   `first_row` order, so the global combination performs the
+//!   identical floating-point fold no matter which node computed which
+//!   unit — a recovered run is bit-identical to an undisturbed run of
+//!   the same cluster shape.
 //! * **Coordinator failure**: with [`ClusterConfig::checkpoint_dir`]
 //!   set, the merged object and post-`step` state are persisted after
 //!   each checkpointed round (atomic b"FRCK" files via
@@ -55,7 +56,7 @@ use freeride::{ReductionObject, RunStats};
 use obs::{FlightRecorder, MetricsSnapshot, Recorder, Trace, TraceLevel};
 
 use crate::error::DistError;
-use crate::node;
+use crate::node::{self, NodeOpts};
 use crate::sched::{self, JobDriver};
 
 /// Node-failure recovery policy (the `ft` part of [`ClusterConfig`]).
@@ -71,7 +72,7 @@ pub struct FtPolicy {
     /// Base backoff before re-running a failed round; doubles per
     /// recovery (exponential). Default 50 ms.
     pub backoff: Duration,
-    /// Whether to reassign a dead node's shards to survivors at all;
+    /// Whether to re-plan a dead node's units onto survivors at all;
     /// `false` restores the fail-fast behaviour (first node failure
     /// aborts the run). Default `true`.
     pub reassign: bool,
@@ -94,7 +95,7 @@ impl Default for FtPolicy {
 #[derive(Debug, Clone)]
 pub struct TelemetryPolicy {
     /// Every `stats_every` rounds each node pushes a
-    /// [`MetricsSnapshot`] frame ahead of its `RoundResult`, so the
+    /// [`MetricsSnapshot`] frame right after its `RoundEnd`, so the
     /// coordinator's live view (and, through it, `cfr-serve`'s
     /// `/metrics` endpoint) includes node-side counters even while the
     /// job is still running — and retains them for nodes that later
@@ -190,8 +191,8 @@ pub struct ClusterConfig {
     /// with a typed error if the sidecar is missing or malformed.
     pub sparse_split: bool,
     /// Elastic scheduling policy: mid-job membership (join listener),
-    /// shard work-stealing, and declarative placement. The default is
-    /// fully static — classic whole-shard rounds, no membership hub.
+    /// unit work-stealing, and declarative placement. The default runs
+    /// one work unit per shard and binds no membership hub.
     pub elastic: cfr_elastic::ElasticPolicy,
 }
 
@@ -239,10 +240,11 @@ pub struct ClusterStats {
     pub node_stats: Vec<RunStats>,
     /// Wall time of the whole run, nanoseconds.
     pub wall_ns: u64,
-    /// Node failures recovered by shard reassignment (plus 1 for a
-    /// coordinator resume).
+    /// Node failures recovered by re-planning onto survivors (plus 1
+    /// for a coordinator resume).
     pub recoveries: usize,
-    /// Shards moved off dead nodes onto survivors.
+    /// Work units the planner had seeded onto nodes that then died,
+    /// re-planned onto survivors (one per shard when stealing is off).
     pub shards_reassigned: usize,
     /// Round re-runs forced by node failures.
     pub retries: usize,
@@ -382,100 +384,46 @@ pub struct LoopbackCluster {
 }
 
 impl LoopbackCluster {
-    /// Spawn `n` loopback node agents, each serving one session.
+    /// Spawn `n` healthy loopback node agents, each serving one session.
     pub fn spawn(n: usize) -> Result<LoopbackCluster, DistError> {
-        LoopbackCluster::spawn_with_chaos(n, &[])
+        LoopbackCluster::spawn_with(&vec![NodeOpts::default(); n])
+    }
+
+    /// Spawn one loopback agent per entry of `opts`, node `i` running
+    /// [`node::serve`] with `opts[i]` — stragglers, leavers and chaos
+    /// deaths are all per-node [`NodeOpts`].
+    pub fn spawn_with(opts: &[NodeOpts]) -> Result<LoopbackCluster, DistError> {
+        let mut addrs = Vec::with_capacity(opts.len());
+        let mut handles = Vec::with_capacity(opts.len());
+        for o in opts {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            addrs.push(listener.local_addr()?);
+            let o = o.clone();
+            handles.push(std::thread::spawn(move || node::serve(&listener, &o)));
+        }
+        Ok(LoopbackCluster { addrs, handles })
     }
 
     /// Spawn `n` loopback agents that each serve `sessions` coordinator
-    /// sessions concurrently (thread per accepted connection,
-    /// [`node::serve_concurrent`]; 0 = forever) — the shared-fleet
-    /// shape the `cfr-serve` daemon multiplexes jobs onto.
+    /// sessions concurrently (0 = forever) — the shared-fleet shape the
+    /// `cfr-serve` daemon multiplexes jobs onto. Sessions of a shared
+    /// fleet fail independently (a cancelled job, a dead coordinator):
+    /// [`node::serve`] logs each failure, and none of them fails
+    /// [`LoopbackCluster::join`].
     pub fn spawn_concurrent(n: usize, sessions: usize) -> Result<LoopbackCluster, DistError> {
         let mut addrs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
+        let opts = NodeOpts {
+            sessions,
+            ..NodeOpts::default()
+        };
         for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
+            let opts = opts.clone();
             handles.push(std::thread::spawn(move || {
-                node::serve_concurrent(&listener, sessions)
-            }));
-        }
-        Ok(LoopbackCluster { addrs, handles })
-    }
-
-    /// Spawn `n` loopback agents where `slow[i]` (if present) makes
-    /// node `i` sleep that many milliseconds before every round
-    /// ([`node::serve_slow`]) — a deterministic straggler for
-    /// exercising the coordinator's latency-based detection.
-    pub fn spawn_with_slow(n: usize, slow: &[(usize, u64)]) -> Result<LoopbackCluster, DistError> {
-        let mut addrs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            let slow_ms = slow
-                .iter()
-                .find(|&&(node, _)| node == id)
-                .map(|&(_, ms)| ms);
-            handles.push(std::thread::spawn(move || match slow_ms {
-                Some(ms) => node::serve_slow(&listener, ms),
-                None => node::serve(&listener),
-            }));
-        }
-        Ok(LoopbackCluster { addrs, handles })
-    }
-
-    /// Spawn `n` loopback agents for elastic-round tests: `slow[i]`
-    /// (if present) makes node `i` sleep that many milliseconds before
-    /// every *unit* (a deterministic straggler, so some of its planned
-    /// units get stolen), and `leave[i]` makes node `i` announce a
-    /// voluntary [`Message::Leave`](crate::proto::Message) at its
-    /// `leave[i]`-th `RoundStart` ([`node::serve_leaving`]).
-    pub fn spawn_elastic(
-        n: usize,
-        slow: &[(usize, u64)],
-        leave: &[(usize, u32)],
-    ) -> Result<LoopbackCluster, DistError> {
-        let mut addrs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            let slow_ms = slow
-                .iter()
-                .find(|&&(node, _)| node == id)
-                .map_or(0, |&(_, ms)| ms);
-            let leave_after = leave.iter().find(|&&(node, _)| node == id).map(|&(_, r)| r);
-            handles.push(std::thread::spawn(move || match leave_after {
-                Some(rounds) => node::serve_leaving(&listener, rounds),
-                None if slow_ms > 0 => node::serve_slow(&listener, slow_ms),
-                None => node::serve(&listener),
-            }));
-        }
-        Ok(LoopbackCluster { addrs, handles })
-    }
-
-    /// Spawn `n` loopback agents where `die_after[i]` (if present)
-    /// makes node `i` a chaos agent that severs its connection
-    /// mid-round after answering that many rounds
-    /// ([`node::serve_dropping`]).
-    pub fn spawn_with_chaos(
-        n: usize,
-        die_after: &[(usize, usize)],
-    ) -> Result<LoopbackCluster, DistError> {
-        let mut addrs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            let chaos = die_after
-                .iter()
-                .find(|&&(node, _)| node == id)
-                .map(|&(_, r)| r);
-            handles.push(std::thread::spawn(move || match chaos {
-                Some(rounds) => node::serve_dropping(&listener, rounds),
-                None => node::serve(&listener),
+                let _ = node::serve(&listener, &opts);
+                Ok(())
             }));
         }
         Ok(LoopbackCluster { addrs, handles })

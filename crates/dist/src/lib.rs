@@ -5,9 +5,10 @@
 //! crate crosses the process boundary with the same processing
 //! structure: a [`Coordinator`] shards a dataset file by row ranges
 //! across N node agents (the `cfr-node` binary, or in-process
-//! [`LoopbackCluster`] threads for deterministic tests); each node runs
-//! its shard through the existing shared-memory engine
-//! (`Engine::run_file_shard`), ships its serialized
+//! [`LoopbackCluster`] threads for deterministic tests); each round the
+//! coordinator plans the shards' work units onto the live nodes, each
+//! node runs its units through the existing shared-memory engine
+//! (`Engine::run_file_shard`), ships their serialized
 //! [`ReductionObject`](freeride::ReductionObject) back over a
 //! length-prefixed versioned TCP protocol ([`proto`]), and the
 //! coordinator performs global combination with the existing
@@ -30,6 +31,8 @@ mod sched;
 pub mod tasks;
 
 pub mod node;
+
+pub use node::NodeOpts;
 
 pub use cfr_elastic::{ElasticPolicy, MembershipHub, PlacementPolicy};
 pub use coord::{

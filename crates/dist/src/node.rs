@@ -4,11 +4,13 @@
 //! A node is deliberately thin: all parallelism inside the node is the
 //! existing shared-memory [`freeride::Engine`] (persistent pool,
 //! `run_file` shard streaming); the agent only speaks the wire protocol
-//! around it. One agent serves one coordinator session ([`serve`]) —
-//! the `cfr-node` binary can loop over sessions with `--sessions`.
+//! around it. [`serve`] is the one entry point for listening agents
+//! (sessions, stragglers and fault injection are all [`NodeOpts`]);
+//! [`join`] is its dial-out twin for mid-job joiners.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use freeride::{Engine, JobConfig, RObjLayout};
 use obs::{AttrValue, Recorder, TraceLevel};
@@ -24,15 +26,13 @@ struct JobContext {
     backend: freeride::KernelBackend,
     layout: Arc<RObjLayout>,
     file: freeride::source::FileDataset,
-    shard_first: usize,
-    shard_rows: usize,
     engine: Engine,
     recorder: Arc<Recorder>,
-    /// Push a `Stats` frame ahead of every Nth `RoundResult` (0 = off).
+    /// Push a `Stats` frame after every Nth `RoundEnd` (0 = off).
     stats_every: u32,
-    /// Rounds answered so far (drives the periodic `Stats` cadence;
-    /// sessions are single-threaded, hence the plain `Cell`).
-    rounds_handled: std::cell::Cell<u32>,
+    /// Rounds completed so far (drives the periodic `Stats` cadence and
+    /// the leave/die fault-injection triggers).
+    rounds_handled: u32,
 }
 
 fn trace_level_from_ordinal(b: u8) -> TraceLevel {
@@ -60,8 +60,6 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         params,
         layout,
         dataset,
-        shard_first,
-        shard_rows,
         threads,
         trace_level,
         io_mode,
@@ -97,14 +95,6 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
     }
     let file = freeride::source::FileDataset::open(std::path::Path::new(&dataset))?;
     let rows = file.rows() as u64;
-    if shard_first
-        .checked_add(shard_rows)
-        .is_none_or(|end| end > rows)
-    {
-        return Err(DistError::BadTask {
-            reason: format!("shard {shard_first}+{shard_rows} exceeds {rows} dataset rows"),
-        });
-    }
     let mut config = JobConfig::with_threads(threads.max(1) as usize);
     config.trace = trace_level_from_ordinal(trace_level);
     config.io = crate::proto::io_mode_from_wire(io_mode, chunk_rows, buffers, readers);
@@ -151,105 +141,69 @@ fn build_job(msg: Message) -> Result<JobContext, DistError> {
         backend,
         layout: local,
         file,
-        shard_first: shard_first as usize,
-        shard_rows: shard_rows as usize,
         engine,
         recorder,
         stats_every,
-        rounds_handled: std::cell::Cell::new(0),
+        rounds_handled: 0,
     })
 }
 
-/// Run one round over the given shard list (empty = the Job-time
-/// shard), returning one `(first_row, cells)` result per shard. Shards
-/// are reduced independently so the coordinator can merge all results
-/// in global row order regardless of which node computed which shard.
-fn run_round(
-    job: &JobContext,
-    round: u32,
-    attempt: u32,
-    state: &[f64],
-    shards: &[(u64, u64)],
-) -> Result<Vec<(u64, Vec<u8>)>, DistError> {
-    let kernel = tasks::kernel(
-        &job.task,
-        &job.params,
-        state,
-        job.backend,
-        Some(&job.recorder),
-    )?;
-    let job_shard = [(job.shard_first as u64, job.shard_rows as u64)];
-    let shards: &[(u64, u64)] = if shards.is_empty() {
-        &job_shard
-    } else {
-        shards
-    };
-    let rows = job.file.rows() as u64;
-    let mut results = Vec::with_capacity(shards.len());
-    for &(first, count) in shards {
-        if first.checked_add(count).is_none_or(|end| end > rows) {
-            return Err(DistError::BadTask {
-                reason: format!("shard {first}+{count} exceeds {rows} dataset rows"),
-            });
+/// Per-agent behaviour of [`serve`] and [`join`]. The default is a
+/// healthy node serving one coordinator session; the other knobs are
+/// deterministic fault injection for tests, benches and smoke scripts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeOpts {
+    /// Sleep this long before every work unit (inside the timed
+    /// window), turning the node into a deterministic straggler for the
+    /// coordinator's latency detection and the steal path.
+    pub slow: Duration,
+    /// Answer the first `RoundStart` after this many completed rounds
+    /// with a graceful `Leave` instead of working the round.
+    pub leave_after_rounds: Option<u32>,
+    /// Sever the connection without a goodbye on the first `Unit` after
+    /// this many completed rounds — what a node killed by the OS looks
+    /// like from the coordinator's side. The session then ends `Ok`.
+    pub die_after_rounds: Option<u32>,
+    /// Coordinator sessions [`serve`] accepts (0 = forever).
+    pub sessions: usize,
+}
+
+impl Default for NodeOpts {
+    fn default() -> NodeOpts {
+        NodeOpts {
+            slow: Duration::ZERO,
+            leave_after_rounds: None,
+            die_after_rounds: None,
+            sessions: 1,
         }
-        let pass_start = std::time::Instant::now();
-        let outcome = job.engine.run_file_shard(
-            &job.file,
-            first as usize,
-            count as usize,
-            &job.layout,
-            &kernel,
-        )?;
-        job.recorder.push_complete(
-            TraceLevel::Phases,
-            "node.pass",
-            "dist",
-            0,
-            job.recorder.offset_ns(pass_start),
-            pass_start.elapsed().as_nanos() as u64,
-            vec![
-                ("round", AttrValue::Int(round as i64)),
-                ("attempt", AttrValue::Int(attempt as i64)),
-                ("shard_first", AttrValue::Int(first as i64)),
-                ("shard_rows", AttrValue::Int(count as i64)),
-            ],
-        );
-        let hub = job.recorder.hub();
-        if hub.is_enabled() {
-            hub.add("node.shards", 1);
-            hub.observe("node.shard_ns", pass_start.elapsed().as_nanos() as u64);
-        }
-        results.push((first, outcome.robj.encode_cells()));
     }
-    Ok(results)
 }
 
-/// Handle one coordinator session on an accepted stream. Returns when
-/// the coordinator sends [`Message::Shutdown`] or the connection drops.
-pub fn handle_session(stream: TcpStream) -> Result<(), DistError> {
-    session_loop(stream, std::time::Duration::ZERO)
+/// Send the coordinator an `Error` frame describing `e`, then fail the
+/// session with it.
+fn reject(stream: &mut TcpStream, e: DistError) -> Result<(), DistError> {
+    write_message(
+        stream,
+        &Message::Error {
+            message: e.to_string(),
+        },
+    )?;
+    Err(e)
 }
 
-/// Chaos-testing variant of [`handle_session`]: sleeps `slow_ms` before
-/// every round, turning this node into a deliberate straggler so the
-/// coordinator's latency-based straggler detection can be exercised
-/// without relying on machine-dependent scheduling jitter.
-pub fn handle_session_slow(stream: TcpStream, slow_ms: u64) -> Result<(), DistError> {
-    session_loop(stream, std::time::Duration::from_millis(slow_ms))
+fn is_disconnect(e: &DistError) -> bool {
+    matches!(e, DistError::Io(io) if matches!(
+        io.kind(),
+        std::io::ErrorKind::UnexpectedEof
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::ConnectionAborted
+    ))
 }
 
-fn session_loop(stream: TcpStream, slow: std::time::Duration) -> Result<(), DistError> {
-    session_loop_opts(stream, slow, None)
-}
-
-fn session_loop_opts(
-    stream: TcpStream,
-    slow: std::time::Duration,
-    leave_after: Option<u32>,
-) -> Result<(), DistError> {
-    let mut stream = stream;
+/// Serve one coordinator session on an accepted stream: the Hello
+/// handshake, then the frame loop.
+fn handle_session(mut stream: TcpStream, opts: &NodeOpts) -> Result<(), DistError> {
     stream.set_nodelay(true).ok();
-
     let (hello, _) = read_message(&mut stream)?;
     let Message::Hello { node_id } = hello else {
         return Err(DistError::Protocol {
@@ -257,77 +211,151 @@ fn session_loop_opts(
         });
     };
     write_message(&mut stream, &Message::HelloAck { node_id })?;
-    serve_frames(stream, node_id, slow, leave_after)
+    serve_frames(stream, node_id, opts)
+}
+
+/// The round in progress: its kernel is built once per `RoundStart`
+/// from the broadcast state and reused for every `Unit` until
+/// `RoundEnd`.
+struct CurrentRound {
+    round: u32,
+    attempt: u32,
+    kernel: tasks::TaskKernel,
+    started: Instant,
 }
 
 /// The post-handshake frame loop, shared by listening sessions
-/// ([`serve`] and friends) and dial-out joiners ([`join`]). With
-/// `leave_after` set, the node answers the first `RoundStart` after
-/// that many completed rounds with a graceful `Leave` and exits.
-fn serve_frames(
-    mut stream: TcpStream,
-    node_id: u32,
-    slow: std::time::Duration,
-    leave_after: Option<u32>,
-) -> Result<(), DistError> {
+/// ([`serve`]) and dial-out joiners ([`join`]). Returns when the
+/// coordinator sends [`Message::Shutdown`] or the connection drops.
+fn serve_frames(mut stream: TcpStream, node_id: u32, opts: &NodeOpts) -> Result<(), DistError> {
     let mut job: Option<JobContext> = None;
-    // The elastic round in progress: the kernel is built once per
-    // `RoundStart` from the broadcast state and reused for every
-    // `Unit` until `RoundEnd`.
-    let mut current: Option<(u32, u32, tasks::TaskKernel)> = None;
+    let mut current: Option<CurrentRound> = None;
     loop {
         let (msg, _) = read_message(&mut stream)?;
         match msg {
             Message::Job { .. } => match build_job(msg) {
                 Ok(ctx) => job = Some(ctx),
-                Err(e) => {
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                }
+                Err(e) => return reject(&mut stream, e),
             },
-            Message::Round {
+            Message::RoundStart {
                 round,
                 attempt,
                 state,
-                shards,
             } => {
                 let Some(ctx) = job.as_ref() else {
-                    let e = DistError::Protocol {
-                        reason: "Round before Job".into(),
-                    };
-                    write_message(
+                    return reject(
                         &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
+                        DistError::Protocol {
+                            reason: "RoundStart before Job".into(),
                         },
-                    )?;
-                    return Err(e);
+                    );
                 };
-                let round_start = std::time::Instant::now();
-                if !slow.is_zero() {
-                    std::thread::sleep(slow);
-                }
-                match run_round(ctx, round, attempt, &state, &shards) {
-                    Ok(results) => {
-                        ctx.recorder.add_counter("dist.rounds", 1);
-                        // elapsed_ns is measured here, on the node, so
-                        // the coordinator's straggler detection sees
-                        // compute time rather than its own (serialised,
-                        // blocking) receive order.
-                        let elapsed_ns = round_start.elapsed().as_nanos() as u64;
-                        let hub = ctx.recorder.hub();
-                        if hub.is_enabled() {
-                            hub.add("node.rounds", 1);
-                            hub.observe("node.round_ns", elapsed_ns);
+                if opts
+                    .leave_after_rounds
+                    .is_some_and(|n| ctx.rounds_handled >= n)
+                {
+                    // Graceful exit: tell the coordinator instead of
+                    // answering, so our rows are re-planned onto the
+                    // survivors without burning a retry. Then *linger*,
+                    // draining (and ignoring) frames until the
+                    // coordinator drops the connection: closing right
+                    // away would RST an in-flight Unit send and could
+                    // discard the buffered Leave on the coordinator's
+                    // side, turning the graceful path into a failure.
+                    write_message(&mut stream, &Message::Leave { node_id })?;
+                    loop {
+                        match read_message(&mut stream) {
+                            Ok((Message::Shutdown, _)) => return Ok(()),
+                            Ok(_) => continue,
+                            Err(e) if is_disconnect(&e) => return Ok(()),
+                            Err(e) => return Err(e),
                         }
-                        let n = ctx.rounds_handled.get().wrapping_add(1);
-                        ctx.rounds_handled.set(n);
-                        if ctx.stats_every > 0 && n % ctx.stats_every == 0 && hub.is_enabled() {
+                    }
+                }
+                match tasks::kernel(
+                    &ctx.task,
+                    &ctx.params,
+                    &state,
+                    ctx.backend,
+                    Some(&ctx.recorder),
+                ) {
+                    Ok(kernel) => {
+                        current = Some(CurrentRound {
+                            round,
+                            attempt,
+                            kernel,
+                            started: Instant::now(),
+                        })
+                    }
+                    Err(e) => return reject(&mut stream, e),
+                }
+            }
+            Message::Unit {
+                round,
+                attempt,
+                first_row,
+                rows,
+            } => {
+                let (Some(ctx), Some(cur)) = (job.as_ref(), current.as_ref()) else {
+                    return reject(
+                        &mut stream,
+                        DistError::Protocol {
+                            reason: "Unit before RoundStart".into(),
+                        },
+                    );
+                };
+                if (cur.round, cur.attempt) != (round, attempt) {
+                    let e = DistError::Protocol {
+                        reason: format!(
+                            "Unit for round {round}/{attempt}, current round is {}/{}",
+                            cur.round, cur.attempt
+                        ),
+                    };
+                    return reject(&mut stream, e);
+                }
+                if opts
+                    .die_after_rounds
+                    .is_some_and(|n| ctx.rounds_handled >= n)
+                {
+                    // Die mid-round. The coordinator sends nothing more
+                    // until this Unit is answered, so closing now leaves
+                    // no unread bytes behind: the peer sees a clean EOF
+                    // after any Stats push already in flight, not a
+                    // reset that would discard it.
+                    return Ok(());
+                }
+                // The artificial straggler delay applies per unit (and
+                // inside the timed window), so a slow node's units read
+                // as slow and fast peers get the chance to steal.
+                let unit_start = Instant::now();
+                if !opts.slow.is_zero() {
+                    std::thread::sleep(opts.slow);
+                }
+                match run_unit(ctx, &cur.kernel, round, attempt, first_row, rows) {
+                    Ok(cells) => {
+                        write_message(
+                            &mut stream,
+                            &Message::UnitResult {
+                                round,
+                                attempt,
+                                first_row,
+                                elapsed_ns: unit_start.elapsed().as_nanos() as u64,
+                                cells,
+                            },
+                        )?;
+                    }
+                    Err(e) => return reject(&mut stream, e),
+                }
+            }
+            Message::RoundEnd { round, .. } => {
+                if let (Some(ctx), Some(cur)) = (job.as_mut(), current.take()) {
+                    ctx.recorder.add_counter("dist.rounds", 1);
+                    ctx.rounds_handled = ctx.rounds_handled.wrapping_add(1);
+                    let hub = ctx.recorder.hub();
+                    if hub.is_enabled() {
+                        hub.add("node.rounds", 1);
+                        hub.observe("node.round_ns", cur.started.elapsed().as_nanos() as u64);
+                        if ctx.stats_every > 0 && ctx.rounds_handled % ctx.stats_every == 0 {
                             write_message(
                                 &mut stream,
                                 &Message::Stats {
@@ -336,24 +364,6 @@ fn serve_frames(
                                 },
                             )?;
                         }
-                        write_message(
-                            &mut stream,
-                            &Message::RoundResult {
-                                round,
-                                attempt,
-                                elapsed_ns,
-                                shards: results,
-                            },
-                        )?;
-                    }
-                    Err(e) => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                message: e.to_string(),
-                            },
-                        )?;
-                        return Err(e);
                     }
                 }
             }
@@ -376,155 +386,8 @@ fn serve_frames(
                     _ => Vec::new(),
                 };
                 job = None;
-                write_message(&mut stream, &Message::JobDone { trace, metrics })?;
-            }
-            Message::RoundStart {
-                round,
-                attempt,
-                state,
-            } => {
-                let Some(ctx) = job.as_ref() else {
-                    let e = DistError::Protocol {
-                        reason: "RoundStart before Job".into(),
-                    };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                };
-                if leave_after.is_some_and(|n| ctx.rounds_handled.get() >= n) {
-                    // Graceful exit: tell the coordinator instead of
-                    // answering, so our rows are reseeded onto the
-                    // survivors without burning a retry. Then *linger*,
-                    // draining (and ignoring) frames until the
-                    // coordinator drops the connection: closing right
-                    // away would RST an in-flight Unit send and could
-                    // discard the buffered Leave on the coordinator's
-                    // side, turning the graceful path into a failure.
-                    write_message(&mut stream, &Message::Leave { node_id })?;
-                    loop {
-                        match read_message(&mut stream) {
-                            Ok((Message::Shutdown, _)) => return Ok(()),
-                            Ok(_) => continue,
-                            Err(DistError::Io(e))
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::UnexpectedEof
-                                        | std::io::ErrorKind::ConnectionReset
-                                        | std::io::ErrorKind::ConnectionAborted
-                                ) =>
-                            {
-                                return Ok(())
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                match tasks::kernel(
-                    &ctx.task,
-                    &ctx.params,
-                    &state,
-                    ctx.backend,
-                    Some(&ctx.recorder),
-                ) {
-                    Ok(kernel) => current = Some((round, attempt, kernel)),
-                    Err(e) => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                message: e.to_string(),
-                            },
-                        )?;
-                        return Err(e);
-                    }
-                }
-            }
-            Message::Unit {
-                round,
-                attempt,
-                first_row,
-                rows,
-            } => {
-                let (Some(ctx), Some((r, a, kernel))) = (job.as_ref(), current.as_ref()) else {
-                    let e = DistError::Protocol {
-                        reason: "Unit before RoundStart".into(),
-                    };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                };
-                if (*r, *a) != (round, attempt) {
-                    let e = DistError::Protocol {
-                        reason: format!(
-                            "Unit for round {round}/{attempt}, current round is {r}/{a}"
-                        ),
-                    };
-                    write_message(
-                        &mut stream,
-                        &Message::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Err(e);
-                }
-                // The artificial straggler delay applies per unit (and
-                // inside the timed window), so a slow node's units read
-                // as slow and fast peers get the chance to steal.
-                let unit_start = std::time::Instant::now();
-                if !slow.is_zero() {
-                    std::thread::sleep(slow);
-                }
-                match run_unit(ctx, kernel, round, attempt, first_row, rows) {
-                    Ok(cells) => {
-                        write_message(
-                            &mut stream,
-                            &Message::UnitResult {
-                                round,
-                                attempt,
-                                first_row,
-                                elapsed_ns: unit_start.elapsed().as_nanos() as u64,
-                                cells,
-                            },
-                        )?;
-                    }
-                    Err(e) => {
-                        write_message(
-                            &mut stream,
-                            &Message::Error {
-                                message: e.to_string(),
-                            },
-                        )?;
-                        return Err(e);
-                    }
-                }
-            }
-            Message::RoundEnd { round, .. } => {
-                if let Some(ctx) = job.as_ref() {
-                    ctx.recorder.add_counter("dist.rounds", 1);
-                    let n = ctx.rounds_handled.get().wrapping_add(1);
-                    ctx.rounds_handled.set(n);
-                    let hub = ctx.recorder.hub();
-                    if hub.is_enabled() {
-                        hub.add("node.rounds", 1);
-                    }
-                    if ctx.stats_every > 0 && n % ctx.stats_every == 0 && hub.is_enabled() {
-                        write_message(
-                            &mut stream,
-                            &Message::Stats {
-                                round,
-                                metrics: hub.snapshot().encode_bin(),
-                            },
-                        )?;
-                    }
-                }
                 current = None;
+                write_message(&mut stream, &Message::JobDone { trace, metrics })?;
             }
             Message::Shutdown => return Ok(()),
             Message::Error { message } => {
@@ -537,20 +400,14 @@ fn serve_frames(
                 let e = DistError::Protocol {
                     reason: format!("unexpected {} from coordinator", other.kind_name()),
                 };
-                write_message(
-                    &mut stream,
-                    &Message::Error {
-                        message: e.to_string(),
-                    },
-                )?;
-                return Err(e);
+                return reject(&mut stream, e);
             }
         }
     }
 }
 
-/// Run one work unit of the current elastic round, returning the
-/// unit's reduction cells.
+/// Run one work unit of the current round, returning the unit's
+/// reduction cells.
 fn run_unit(
     job: &JobContext,
     kernel: &tasks::TaskKernel,
@@ -565,7 +422,7 @@ fn run_unit(
             reason: format!("unit {first}+{count} exceeds {rows} dataset rows"),
         });
     }
-    let pass_start = std::time::Instant::now();
+    let pass_start = Instant::now();
     let outcome = job.engine.run_file_shard(
         &job.file,
         first as usize,
@@ -600,8 +457,9 @@ fn run_unit(
 /// Joiners are absorbed at round barriers, so the `Hello` may lag the
 /// dial by a full round. A `Shutdown` first — or the hub closing the
 /// connection — means the fleet wound down before this node was
-/// admitted: a clean no-op, not an error.
-pub fn join(addr: &SocketAddr, slow_ms: u64, leave_after: Option<u32>) -> Result<(), DistError> {
+/// admitted: a clean no-op, not an error. `opts.sessions` is ignored:
+/// a joiner serves exactly the one job it dialed into.
+pub fn join(addr: &SocketAddr, opts: &NodeOpts) -> Result<(), DistError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     write_message(
@@ -612,28 +470,14 @@ pub fn join(addr: &SocketAddr, slow_ms: u64, leave_after: Option<u32>) -> Result
     )?;
     let hello = match read_message(&mut stream) {
         Ok((msg, _)) => msg,
-        Err(DistError::Io(e))
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::UnexpectedEof
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::ConnectionAborted
-            ) =>
-        {
-            return Ok(())
-        }
+        Err(e) if is_disconnect(&e) => return Ok(()),
         Err(e) => return Err(e),
     };
     match hello {
         Message::Shutdown => Ok(()),
         Message::Hello { node_id } => {
             write_message(&mut stream, &Message::HelloAck { node_id })?;
-            serve_frames(
-                stream,
-                node_id,
-                std::time::Duration::from_millis(slow_ms),
-                leave_after,
-            )
+            serve_frames(stream, node_id, opts)
         }
         other => Err(DistError::Protocol {
             reason: format!(
@@ -644,149 +488,38 @@ pub fn join(addr: &SocketAddr, slow_ms: u64, leave_after: Option<u32>) -> Result
     }
 }
 
-/// Loopback agent that serves one session but exits gracefully: once
-/// it has completed `after_rounds` rounds it answers the next
-/// `RoundStart` with `Leave` instead of working the round.
-pub fn serve_leaving(listener: &TcpListener, after_rounds: u32) -> Result<(), DistError> {
-    let (stream, _peer) = listener.accept()?;
-    session_loop_opts(stream, std::time::Duration::ZERO, Some(after_rounds))
-}
-
-/// Accept one coordinator connection on `listener` and serve the
-/// session to completion.
-pub fn serve(listener: &TcpListener) -> Result<(), DistError> {
-    let (stream, _peer) = listener.accept()?;
-    handle_session(stream)
-}
-
-/// Accept `sessions` coordinator connections (0 = forever), serving
-/// each on its own thread so multiple coordinators — e.g. the
-/// `cfr-serve` daemon multiplexing concurrent jobs onto a shared fleet
-/// — can hold sessions simultaneously. A session that fails is
-/// reported on stderr but does not take down the acceptor or other
-/// sessions; only an `accept` failure is fatal. Returns once
-/// `sessions` connections have been accepted and all of them have
-/// completed.
-pub fn serve_concurrent(listener: &TcpListener, sessions: usize) -> Result<(), DistError> {
-    serve_concurrent_slow(listener, sessions, 0)
-}
-
-/// [`serve_concurrent`] with an artificial per-round delay on every
-/// session (see [`handle_session_slow`]) — a shared-fleet node that is
-/// a deliberate straggler for every coordinator it serves.
-pub fn serve_concurrent_slow(
-    listener: &TcpListener,
-    sessions: usize,
-    slow_ms: u64,
-) -> Result<(), DistError> {
+/// Accept `opts.sessions` coordinator connections on `listener` (0 =
+/// forever), serving each on its own thread so several coordinators —
+/// e.g. the `cfr-serve` daemon multiplexing concurrent jobs onto a
+/// shared fleet — can hold sessions at once. A failed session is
+/// reported on stderr and does not stop the acceptor or the other
+/// sessions. Returns once every accepted session has completed: `Ok`,
+/// or the first session's error; an `accept` failure returns at once.
+pub fn serve(listener: &TcpListener, opts: &NodeOpts) -> Result<(), DistError> {
     let mut handles = Vec::new();
-    let mut accepted = 0usize;
-    loop {
+    while opts.sessions == 0 || handles.len() < opts.sessions {
         let (stream, _peer) = listener.accept()?;
+        let opts = opts.clone();
         handles.push(std::thread::spawn(move || {
-            if let Err(e) = handle_session_slow(stream, slow_ms) {
+            let result = handle_session(stream, &opts);
+            if let Err(e) = &result {
                 eprintln!("cfr-node: session error: {e}");
             }
+            result
         }));
-        accepted += 1;
-        if sessions != 0 && accepted >= sessions {
-            break;
-        }
     }
+    let mut first_err = None;
     for h in handles {
-        if h.join().is_err() {
-            return Err(DistError::Protocol {
+        let result = h.join().unwrap_or_else(|_| {
+            Err(DistError::Protocol {
                 reason: "node session thread panicked".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Accept one coordinator connection and serve it with an artificial
-/// per-round delay (see [`handle_session_slow`]).
-pub fn serve_slow(listener: &TcpListener, slow_ms: u64) -> Result<(), DistError> {
-    let (stream, _peer) = listener.accept()?;
-    handle_session_slow(stream, slow_ms)
-}
-
-/// Chaos-testing agent: behaves like [`serve`], but severs the
-/// connection without a protocol goodbye after answering
-/// `rounds_before_death` Round messages — on the next Round it simply
-/// drops the socket mid-round, exactly what a node killed by the OS
-/// looks like from the coordinator's side. Returns `Ok(())` when it
-/// died on schedule.
-pub fn serve_dropping(listener: &TcpListener, rounds_before_death: usize) -> Result<(), DistError> {
-    let (mut stream, _peer) = listener.accept()?;
-    stream.set_nodelay(true).ok();
-    let (hello, _) = read_message(&mut stream)?;
-    let Message::Hello { node_id } = hello else {
-        return Err(DistError::Protocol {
-            reason: format!("expected Hello, got {}", hello.kind_name()),
+            })
         });
-    };
-    write_message(&mut stream, &Message::HelloAck { node_id })?;
-    let mut job: Option<JobContext> = None;
-    let mut answered = 0usize;
-    loop {
-        let (msg, _) = read_message(&mut stream)?;
-        match msg {
-            Message::Job { .. } => job = Some(build_job(msg)?),
-            Message::Round {
-                round,
-                attempt,
-                state,
-                shards,
-            } => {
-                if answered == rounds_before_death {
-                    // Die mid-round: the Round was received, no
-                    // RoundResult will ever come. Dropping the stream
-                    // resets the connection.
-                    return Ok(());
-                }
-                let ctx = job.as_ref().ok_or_else(|| DistError::Protocol {
-                    reason: "Round before Job".into(),
-                })?;
-                let round_start = std::time::Instant::now();
-                let results = run_round(ctx, round, attempt, &state, &shards)?;
-                // Same periodic stats cadence as a healthy node: the
-                // push preceding this node's death is all the telemetry
-                // the coordinator gets to keep from it.
-                let n = ctx.rounds_handled.get().wrapping_add(1);
-                ctx.rounds_handled.set(n);
-                let hub = ctx.recorder.hub();
-                if hub.is_enabled() {
-                    hub.add("node.rounds", 1);
-                    hub.observe("node.round_ns", round_start.elapsed().as_nanos() as u64);
-                }
-                if ctx.stats_every > 0 && n % ctx.stats_every == 0 && hub.is_enabled() {
-                    write_message(
-                        &mut stream,
-                        &Message::Stats {
-                            round,
-                            metrics: hub.snapshot().encode_bin(),
-                        },
-                    )?;
-                }
-                write_message(
-                    &mut stream,
-                    &Message::RoundResult {
-                        round,
-                        attempt,
-                        elapsed_ns: round_start.elapsed().as_nanos() as u64,
-                        shards: results,
-                    },
-                )?;
-                answered += 1;
-            }
-            Message::Shutdown => return Ok(()),
-            other => {
-                return Err(DistError::Protocol {
-                    reason: format!("unexpected {} from coordinator", other.kind_name()),
-                });
-            }
+        if let Err(e) = result {
+            first_err.get_or_insert(e);
         }
     }
+    first_err.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -806,21 +539,20 @@ mod node_tests {
     }
 
     #[test]
-    fn session_rejects_round_before_job() {
+    fn session_rejects_round_start_before_job() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve(&listener));
+        let server = std::thread::spawn(move || serve(&listener, &NodeOpts::default()));
         let mut stream = TcpStream::connect(addr).unwrap();
         write_message(&mut stream, &Message::Hello { node_id: 0 }).unwrap();
         let (ack, _) = read_message(&mut stream).unwrap();
         assert_eq!(ack, Message::HelloAck { node_id: 0 });
         write_message(
             &mut stream,
-            &Message::Round {
+            &Message::RoundStart {
                 round: 0,
                 attempt: 0,
                 state: vec![],
-                shards: vec![],
             },
         )
         .unwrap();
@@ -833,7 +565,7 @@ mod node_tests {
     fn session_rejects_non_hello_opening() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || serve(&listener));
+        let server = std::thread::spawn(move || serve(&listener, &NodeOpts::default()));
         let mut stream = TcpStream::connect(addr).unwrap();
         write_message(&mut stream, &Message::EndJob).unwrap();
         let err = server.join().unwrap().unwrap_err();

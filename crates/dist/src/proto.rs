@@ -26,7 +26,7 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// Protocol version; both sides must match exactly. Version 2 added
 /// round `attempt` counters and explicit per-round shard lists for
 /// fault-tolerant shard reassignment. Version 3 added live telemetry:
-/// node-measured `elapsed_ns` on `RoundResult` (the straggler signal),
+/// node-measured `elapsed_ns` on round results (the straggler signal),
 /// periodic `Stats` metrics frames, a `stats_every` job knob, and the
 /// node's final metrics snapshot on `JobDone`. Version 4 added the
 /// kernel `backend` byte on `Job`, so a coordinator can ask the fleet
@@ -40,8 +40,12 @@ pub const WIRE_MAGIC: &[u8; 4] = b"FRDM";
 /// handshake (`cfr-node --join` dials the coordinator's membership
 /// hub mid-job) and the work-unit round shape
 /// (`RoundStart`/`Unit`/`UnitResult`/`RoundEnd`) that lets fast nodes
-/// steal a straggler's remaining rows one sub-range at a time.
-pub const WIRE_VERSION: u8 = 6;
+/// steal a straggler's remaining rows one sub-range at a time. Version
+/// 7 made that unit shape the only round shape: the monolithic
+/// whole-shard round frames (types 4 and 5, now unassigned) and the
+/// Job-time shard on `Job` are gone — every row a node reduces arrives
+/// as a `Unit`.
+pub const WIRE_VERSION: u8 = 7;
 /// Upper bound on a frame payload (64 MiB): a corrupt length field
 /// fails fast instead of triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -49,8 +53,6 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 const TYPE_HELLO: u8 = 1;
 const TYPE_HELLO_ACK: u8 = 2;
 const TYPE_JOB: u8 = 3;
-const TYPE_ROUND: u8 = 4;
-const TYPE_ROUND_RESULT: u8 = 5;
 const TYPE_END_JOB: u8 = 6;
 const TYPE_JOB_DONE: u8 = 7;
 const TYPE_SHUTDOWN: u8 = 8;
@@ -89,10 +91,6 @@ pub enum Message {
         /// Path of the shared dataset file (`.frds`), readable by the
         /// node.
         dataset: String,
-        /// First row of this node's shard.
-        shard_first: u64,
-        /// Row count of this node's shard.
-        shard_rows: u64,
         /// Worker threads for the node's local engine.
         threads: u32,
         /// `obs::TraceLevel` ordinal for the node's recorder.
@@ -106,9 +104,9 @@ pub enum Message {
         buffers: u32,
         /// Prefetching reader threads (ignored when sync).
         readers: u32,
-        /// Push a `Stats` metrics frame ahead of every Nth
-        /// `RoundResult` (0 disables periodic pushes; the final
-        /// snapshot still arrives on `JobDone`).
+        /// Push a `Stats` metrics frame after every Nth `RoundEnd`
+        /// (0 disables periodic pushes; the final snapshot still
+        /// arrives on `JobDone`).
         stats_every: u32,
         /// Kernel backend for kernel-IR tasks
         /// ([`freeride::KernelBackend::to_wire`] byte; closure tasks
@@ -129,46 +127,6 @@ pub enum Message {
         /// nnz-weighted from the dataset's `.frsp` sidecar.
         splitter: u8,
     },
-    /// Coordinator → node: run one local reduction pass over the
-    /// node's shards with this round's broadcast state (e.g. current
-    /// centroids).
-    Round {
-        /// Round number, starting at 0.
-        round: u32,
-        /// Monotonic delivery attempt. After a node failure the
-        /// coordinator re-runs the round under a higher attempt;
-        /// results from an aborted attempt are drained and discarded
-        /// by the `(round, attempt)` echo.
-        attempt: u32,
-        /// Per-round state vector.
-        state: Vec<f64>,
-        /// Absolute `(first_row, rows)` shard ranges to reduce this
-        /// round. Empty means "the single shard assigned at Job time";
-        /// non-empty lists carry reassigned shards of dead nodes.
-        shards: Vec<(u64, u64)>,
-    },
-    /// Node → coordinator: the local reduction results, one cells
-    /// frame per shard the node ran. Shipping shards separately lets
-    /// the coordinator always merge in ascending `first_row` order —
-    /// the global combination sequence (and hence every floating-point
-    /// rounding) is identical no matter which node computed which
-    /// shard, which is what makes failure recovery bit-identical to an
-    /// undisturbed run.
-    RoundResult {
-        /// Echo of the round number.
-        round: u32,
-        /// Echo of the delivery attempt.
-        attempt: u32,
-        /// Per-shard results: `(first_row, cells frame)` in the order
-        /// the shards were assigned.
-        shards: Vec<(u64, Vec<u8>)>,
-        /// Node-measured wall time of the local reduction work for
-        /// this round, nanoseconds. Placement-independent (unlike a
-        /// coordinator-side receive timestamp, which is skewed by the
-        /// sequential recv order), so it is the straggler-detection
-        /// signal.
-        elapsed_ns: u64,
-    },
     /// Coordinator → node: no more rounds; ship the trace.
     EndJob,
     /// Node → coordinator: job teardown, carrying the node's drained
@@ -180,9 +138,8 @@ pub enum Message {
         /// of the node's live hub, possibly empty.
         metrics: Vec<u8>,
     },
-    /// Node → coordinator: periodic live-telemetry push, sent
-    /// immediately before the `RoundResult` of every `stats_every`th
-    /// round. The coordinator folds it into the fleet view; it never
+    /// Node → coordinator: periodic live-telemetry push, sent right
+    /// after the `RoundEnd` of every `stats_every`th round. The coordinator folds it into the fleet view; it never
     /// affects scheduling correctness.
     Stats {
         /// Round the snapshot was taken after.
@@ -223,7 +180,10 @@ pub enum Message {
     RoundStart {
         /// Round number, starting at 0.
         round: u32,
-        /// Monotonic delivery attempt (same semantics as `Round`).
+        /// Monotonic delivery attempt. After a node failure the
+        /// coordinator re-runs the round under a higher attempt;
+        /// results from an aborted attempt are drained and discarded
+        /// by the `(round, attempt)` echo.
         attempt: u32,
         /// Per-round broadcast state vector.
         state: Vec<f64>,
@@ -233,7 +193,8 @@ pub enum Message {
     /// merge all results in ascending `first_row` order and keep the
     /// global combine fold — and hence every floating-point rounding —
     /// a pure function of the covered row set, not of which node ran
-    /// what (the elastic extension of the v2 bit-identity argument).
+    /// what. This is what makes failure recovery, joins, leaves and
+    /// steals bit-identical to an undisturbed run.
     Unit {
         /// Echo of the round number.
         round: u32,
@@ -299,14 +260,6 @@ fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
     for x in xs {
         out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u64_pairs(out: &mut Vec<u8>, xs: &[(u64, u64)]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for (a, b) in xs {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
     }
 }
 
@@ -395,18 +348,6 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u64_pairs(&mut self, what: &str) -> Result<Vec<(u64, u64)>, DistError> {
-        let n = self.len(what)?;
-        if self.buf.len() - self.pos < n * 16 {
-            return perr(format!("truncated payload: {what}"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u64(what)?, self.u64(what)?));
-        }
-        Ok(out)
-    }
-
     fn finish(self, what: &str) -> Result<(), DistError> {
         if self.pos != self.buf.len() {
             return perr(format!(
@@ -424,8 +365,6 @@ impl Message {
             Message::Hello { .. } => TYPE_HELLO,
             Message::HelloAck { .. } => TYPE_HELLO_ACK,
             Message::Job { .. } => TYPE_JOB,
-            Message::Round { .. } => TYPE_ROUND,
-            Message::RoundResult { .. } => TYPE_ROUND_RESULT,
             Message::EndJob => TYPE_END_JOB,
             Message::JobDone { .. } => TYPE_JOB_DONE,
             Message::Shutdown => TYPE_SHUTDOWN,
@@ -446,8 +385,6 @@ impl Message {
             Message::Hello { .. } => "Hello",
             Message::HelloAck { .. } => "HelloAck",
             Message::Job { .. } => "Job",
-            Message::Round { .. } => "Round",
-            Message::RoundResult { .. } => "RoundResult",
             Message::EndJob => "EndJob",
             Message::JobDone { .. } => "JobDone",
             Message::Shutdown => "Shutdown",
@@ -473,8 +410,6 @@ impl Message {
                 params,
                 layout,
                 dataset,
-                shard_first,
-                shard_rows,
                 threads,
                 trace_level,
                 io_mode,
@@ -493,8 +428,6 @@ impl Message {
                 put_i64s(&mut out, params);
                 put_bytes(&mut out, layout);
                 put_str(&mut out, dataset);
-                out.extend_from_slice(&shard_first.to_le_bytes());
-                out.extend_from_slice(&shard_rows.to_le_bytes());
                 out.extend_from_slice(&threads.to_le_bytes());
                 out.push(*trace_level);
                 out.push(*io_mode);
@@ -508,32 +441,6 @@ impl Message {
                 out.extend_from_slice(&scheme_cells.to_le_bytes());
                 out.extend_from_slice(&scheme_mask.to_le_bytes());
                 out.push(*splitter);
-            }
-            Message::Round {
-                round,
-                attempt,
-                state,
-                shards,
-            } => {
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                put_f64s(&mut out, state);
-                put_u64_pairs(&mut out, shards);
-            }
-            Message::RoundResult {
-                round,
-                attempt,
-                shards,
-                elapsed_ns,
-            } => {
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&elapsed_ns.to_le_bytes());
-                out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-                for (first, cells) in shards {
-                    out.extend_from_slice(&first.to_le_bytes());
-                    put_bytes(&mut out, cells);
-                }
             }
             Message::EndJob | Message::Shutdown => {}
             Message::JobDone { trace, metrics } => {
@@ -620,8 +527,6 @@ impl Message {
                 params: r.i64s("params")?,
                 layout: r.bytes("layout")?,
                 dataset: r.string("dataset")?,
-                shard_first: r.u64("shard_first")?,
-                shard_rows: r.u64("shard_rows")?,
                 threads: r.u32("threads")?,
                 trace_level: r.u8("trace_level")?,
                 io_mode: r.u8("io_mode")?,
@@ -636,30 +541,6 @@ impl Message {
                 scheme_mask: r.u64("scheme_mask")?,
                 splitter: r.u8("splitter")?,
             },
-            TYPE_ROUND => Message::Round {
-                round: r.u32("round")?,
-                attempt: r.u32("attempt")?,
-                state: r.f64s("state")?,
-                shards: r.u64_pairs("shards")?,
-            },
-            TYPE_ROUND_RESULT => {
-                let round = r.u32("round")?;
-                let attempt = r.u32("attempt")?;
-                let elapsed_ns = r.u64("elapsed_ns")?;
-                let n = r.len("shard results")?;
-                let mut shards = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    let first = r.u64("shard first_row")?;
-                    let cells = r.bytes("shard cells")?;
-                    shards.push((first, cells));
-                }
-                Message::RoundResult {
-                    round,
-                    attempt,
-                    shards,
-                    elapsed_ns,
-                }
-            }
             TYPE_END_JOB => Message::EndJob,
             TYPE_JOB_DONE => Message::JobDone {
                 trace: r.bytes("trace")?,
@@ -825,8 +706,6 @@ mod proto_tests {
                 params: vec![4, 2],
                 layout: vec![1, 2, 3],
                 dataset: "/tmp/points.frds".into(),
-                shard_first: 100,
-                shard_rows: 50,
                 threads: 2,
                 trace_level: 1,
                 io_mode: 1,
@@ -840,18 +719,6 @@ mod proto_tests {
                 scheme_cells: 128,
                 scheme_mask: 0b1011,
                 splitter: 1,
-            },
-            Message::Round {
-                round: 7,
-                attempt: 2,
-                state: vec![1.5, -2.0],
-                shards: vec![(0, 100), (300, 50)],
-            },
-            Message::RoundResult {
-                round: 7,
-                attempt: 2,
-                shards: vec![(0, vec![9, 8, 7]), (300, vec![1])],
-                elapsed_ns: 123_456_789,
             },
             Message::EndJob,
             Message::JobDone {
@@ -1002,11 +869,10 @@ mod proto_tests {
 
     #[test]
     fn corrupt_inner_array_length_rejected() {
-        let msg = Message::Round {
+        let msg = Message::RoundStart {
             round: 1,
             attempt: 0,
             state: vec![1.0, 2.0],
-            shards: vec![],
         };
         let mut frame = msg.encode();
         // The state length field sits right after header(10) + round(4)

@@ -18,11 +18,13 @@
 //! hanging on (or erroring out of) a dead coordinator's socket.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cfr_elastic::{auto_grain, plan, split_units, MembershipHub, StealQueue};
-use freeride::{RObjLayout, ReductionObject, RunStats};
+use cfr_elastic::queue::Popped;
+use cfr_elastic::{auto_grain, plan, split_units, MembershipHub, StealQueue, WorkUnit};
+use freeride::{RObjLayout, ReductionObject, RunStats, WorkerPool};
 use freeride_ft::{Checkpoint, CheckpointStore};
 use obs::{metric_name, AttrValue, MetricsSnapshot, Recorder, Trace, TraceLevel};
 
@@ -32,13 +34,9 @@ use crate::node;
 use crate::proto::{read_message, write_message, Message};
 use crate::tasks;
 
-/// One node's round answer: its `(first_row, cells)` shard payloads
-/// plus the node-measured round time in nanoseconds.
-type RoundShards = (Vec<(u64, Vec<u8>)>, u64);
-
-/// One elastic worker thread's round outcome, folded into the global
-/// stats/telemetry by the coordinator thread after the scope ends —
-/// workers themselves are telemetry-free so trace emission stays
+/// One round worker's outcome, folded into the global stats/telemetry
+/// by the coordinator thread after the dispatch returns — workers
+/// themselves are telemetry-free so trace emission stays
 /// single-threaded and deterministic.
 #[derive(Default)]
 struct WorkerOut {
@@ -63,11 +61,19 @@ impl WorkerOut {
     fn panicked() -> WorkerOut {
         WorkerOut {
             err: Some(DistError::Protocol {
-                reason: "elastic round worker panicked".into(),
+                reason: "round worker panicked".into(),
             }),
             ..WorkerOut::default()
         }
     }
+}
+
+/// A failed round attempt: the fleet slot of the node to drop, how
+/// many units the plan had seeded onto it, and the diagnosis.
+struct RoundFailure {
+    slot: usize,
+    planned: usize,
+    err: DistError,
 }
 
 pub(crate) struct NodeConn {
@@ -117,11 +123,9 @@ impl NodeConn {
     }
 }
 
-/// One live node: its connection plus the shards currently assigned to
-/// it (grows beyond one entry only after recoveries).
+/// One live node: its connection and last telemetry push.
 pub(crate) struct LiveNode {
     pub(crate) conn: NodeConn,
-    pub(crate) shards: Vec<(u64, u64)>,
     /// The node's most recent periodic stats push (see
     /// [`TelemetryPolicy::stats_every`](crate::TelemetryPolicy)); kept
     /// so a node that dies mid-run still contributes its last known
@@ -133,20 +137,28 @@ pub(crate) struct LiveNode {
 /// semantics (see the module docs).
 pub struct Fleet {
     pub(crate) nodes: Vec<LiveNode>,
+    /// The run's shard map, sorted by `first_row`: fixed at connect
+    /// time and never touched by failures, leaves or joins — which node
+    /// runs which rows is decided afresh each round by the planner.
+    pub(crate) shards: Vec<(u64, u64)>,
     /// Next node id to hand to a mid-job joiner. Ids are never reused
     /// (a leaver's or dead node's id stays retired), so per-node
     /// telemetry and trace pids stay unambiguous across churn.
     pub(crate) next_id: usize,
+    /// The per-node round workers: grown to the live node count before
+    /// each round and parked between rounds, so they live as long as
+    /// the fleet instead of being spawned per round.
+    workers: WorkerPool,
 }
 
 impl Fleet {
     /// Connect to every node agent, handshake, and send the job setup.
-    /// Shards are contiguous row ranges: by default node `i` of `n`
-    /// gets the equal-row cut `[i·rows/n, (i+1)·rows/n)`; with
-    /// [`ClusterConfig::shard_bounds`] set (e.g. an nnz-balanced cut
-    /// for sparse datasets) the explicit ranges are used instead,
-    /// after validating they contiguously cover the file with one
-    /// range per node.
+    /// Shards are contiguous row ranges, one per initial node: by
+    /// default shard `i` of `n` is the equal-row cut
+    /// `[i·rows/n, (i+1)·rows/n)`; with [`ClusterConfig::shard_bounds`]
+    /// set (e.g. an nnz-balanced cut for sparse datasets) the explicit
+    /// ranges are used instead, after validating they contiguously
+    /// cover the file with one range per node.
     pub(crate) fn connect(
         cfg: &ClusterConfig,
         addrs: &[SocketAddr],
@@ -181,9 +193,20 @@ impl Fleet {
                 });
             }
         }
+        let shards = match &cfg.shard_bounds {
+            Some(bounds) => bounds.clone(),
+            None => (0..addrs.len())
+                .map(|i| {
+                    let first = i * rows / addrs.len();
+                    (first as u64, ((i + 1) * rows / addrs.len() - first) as u64)
+                })
+                .collect(),
+        };
         let mut fleet = Fleet {
             nodes: Vec::with_capacity(addrs.len()),
+            shards,
             next_id: addrs.len(),
+            workers: WorkerPool::new(),
         };
         for (id, addr) in addrs.iter().enumerate() {
             let stream = TcpStream::connect_timeout(addr, cfg.read_timeout)?;
@@ -199,20 +222,9 @@ impl Fleet {
                     })
                 }
             }
-            let (first, count) = match &cfg.shard_bounds {
-                Some(bounds) => (bounds[id].0 as usize, bounds[id].1 as usize),
-                None => {
-                    let first = id * rows / addrs.len();
-                    (first, (id + 1) * rows / addrs.len() - first)
-                }
-            };
-            conn.send(
-                &job_message(cfg, layout_frame, first as u64, count as u64),
-                stats,
-            )?;
+            conn.send(&job_message(cfg, layout_frame), stats)?;
             fleet.nodes.push(LiveNode {
                 conn,
-                shards: vec![(first as u64, count as u64)],
                 last_stats: None,
             });
         }
@@ -220,9 +232,8 @@ impl Fleet {
     }
 
     /// Absorb pending joiner connections from the membership hub:
-    /// Join → Hello/HelloAck → Job, then add the node live with **no
-    /// shards** — work reaches it through unit stealing (elastic
-    /// rounds) or FT reassignment (classic rounds). A broken joiner
+    /// Join → Hello/HelloAck → Job, then add the node live — the next
+    /// round's plan maps units onto it like any other node. A broken joiner
     /// (handshake failure, timeout, garbage) is dropped without
     /// failing the job; returns the ids actually admitted.
     pub(crate) fn absorb_joiners(
@@ -264,11 +275,10 @@ impl Fleet {
                         })
                     }
                 }
-                conn.send(&job_message(cfg, layout_frame, 0, 0), stats)?;
+                conn.send(&job_message(cfg, layout_frame), stats)?;
                 conn.stream.set_read_timeout(Some(cfg.read_timeout))?;
                 Ok(LiveNode {
                     conn,
-                    shards: Vec::new(),
                     last_stats: None,
                 })
             })();
@@ -298,21 +308,9 @@ impl Fleet {
         self.nodes.is_empty()
     }
 
-    /// The current shard map across all live nodes, as absolute
-    /// `(first_row, rows)` ranges sorted by `first_row`.
-    pub(crate) fn shard_map(&self) -> Vec<(u64, u64)> {
-        let mut map: Vec<(u64, u64)> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.shards.iter().copied())
-            .collect();
-        map.sort_unstable();
-        map
-    }
-
-    /// Remove a failed node, returning it so the caller can reassign
-    /// its shards. Its connection closes on drop; no goodbye is owed to
-    /// a node already diagnosed dead.
+    /// Remove a failed or departed node, returning it so the caller can
+    /// keep its last stats push. Its connection closes on drop; no
+    /// goodbye is owed to a node already diagnosed dead.
     pub(crate) fn remove(&mut self, idx: usize) -> LiveNode {
         self.nodes.remove(idx)
     }
@@ -333,9 +331,9 @@ impl Fleet {
             n.conn.send(&Message::EndJob, stats)?;
             let msg = loop {
                 let msg = n.conn.recv("JobDone", stats)?;
-                // A periodic stats push from the last elastic round can
-                // land just ahead of JobDone; absorb it like a round
-                // recv would.
+                // A periodic stats push from the last round can land
+                // just ahead of JobDone; absorb it like a round recv
+                // would.
                 if let Message::Stats { metrics, .. } = &msg {
                     n.last_stats = Some(MetricsSnapshot::decode_bin(metrics)?);
                     continue;
@@ -383,10 +381,8 @@ impl Drop for Fleet {
 }
 
 /// The `Job` setup frame for `cfg`, shared between the initial
-/// connect handshake and mid-job joiner absorption (joiners get the
-/// empty `0/0` shard: their work arrives as stolen units or FT
-/// reassignments, never a Job-time shard).
-fn job_message(cfg: &ClusterConfig, layout_frame: &[u8], first: u64, rows: u64) -> Message {
+/// connect handshake and mid-job joiner absorption.
+fn job_message(cfg: &ClusterConfig, layout_frame: &[u8]) -> Message {
     let (io_mode, chunk_rows, buffers, readers) = crate::proto::io_mode_to_wire(&cfg.io);
     let (scheme, scheme_stripes, scheme_cells, scheme_mask) =
         crate::proto::scheme_to_wire(cfg.scheme);
@@ -395,8 +391,6 @@ fn job_message(cfg: &ClusterConfig, layout_frame: &[u8], first: u64, rows: u64) 
         params: cfg.params.clone(),
         layout: layout_frame.to_vec(),
         dataset: cfg.dataset.to_string_lossy().into_owned(),
-        shard_first: first,
-        shard_rows: rows,
         threads: cfg.threads_per_node.max(1) as u32,
         trace_level: node::trace_level_ordinal(cfg.trace),
         io_mode,
@@ -595,15 +589,17 @@ impl<'a> JobDriver<'a> {
             Fleet::connect(cfg, addrs, &layout_frame, rows, &mut stats)?
         };
 
-        // The steal grain is fixed from the *initial* fleet size for
-        // the whole run: work units must be a pure function of the
-        // shard map and grain — never of live membership — so that
-        // joins, leaves and steals cannot change the merge fold.
-        let grain = if cfg.elastic.steal_grain > 0 {
-            cfg.elastic.steal_grain
-        } else {
-            auto_grain(rows as u64, addrs.len())
+        // The work units are fixed for the whole run: a pure function
+        // of the shard map and the grain (taken from the *initial*
+        // fleet size) — never of live membership — so that joins,
+        // leaves, failures and steals cannot change the merge fold.
+        // Without stealing the grain is 0: one unit per shard.
+        let grain = match (cfg.elastic.steal, cfg.elastic.steal_grain) {
+            (false, _) => 0,
+            (true, 0) => auto_grain(rows as u64, addrs.len()),
+            (true, g) => g,
         };
+        let units = split_units(&fleet.shards, grain);
 
         // ---- The outer sequential loop, with per-round recovery. ----
         let rounds = cfg.rounds.max(1);
@@ -640,97 +636,71 @@ impl<'a> JobDriver<'a> {
                 }
             }
             loop {
-                let outcome = if cfg.elastic.steal {
-                    self.try_round_elastic(
-                        &mut fleet,
-                        &layout,
-                        round,
-                        attempt,
-                        &state,
-                        &mut merged,
-                        &mut stats,
-                        grain,
-                        &mut dead_stats,
-                    )
-                } else {
-                    self.try_round(
-                        &mut fleet,
-                        &layout,
-                        round,
-                        attempt,
-                        &state,
-                        &mut merged,
-                        &mut stats,
-                    )
-                };
-                match outcome {
-                    Ok(()) => break,
-                    Err((idx, err)) => {
-                        let recoverable =
-                            cfg.ft.reassign && fleet.len() > 1 && retries_used < cfg.ft.max_retries;
-                        if !recoverable {
-                            return Err(if retries_used > 0 {
-                                DistError::RetriesExhausted {
-                                    retries: retries_used,
-                                    last: Box::new(err),
-                                }
-                            } else {
-                                err
-                            });
+                let outcome = self.attempt_round(
+                    &mut fleet,
+                    &layout,
+                    &units,
+                    round,
+                    attempt,
+                    &state,
+                    &mut merged,
+                    &mut stats,
+                    &mut dead_stats,
+                );
+                let Err(failure) = outcome else { break };
+                let recoverable =
+                    cfg.ft.reassign && fleet.len() > 1 && retries_used < cfg.ft.max_retries;
+                if !recoverable {
+                    return Err(if retries_used > 0 {
+                        DistError::RetriesExhausted {
+                            retries: retries_used,
+                            last: Box::new(failure.err),
                         }
-                        retries_used += 1;
-                        attempt += 1;
-                        let mut rspan = rec.span(TraceLevel::Phases, "ft.recover", "ft", 0);
-                        let dead = fleet.remove(idx);
-                        if cfg.telemetry.warn {
-                            eprintln!(
-                                "cfr-dist: health: node {} failed in round {round} ({err}); \
-                                 reassigning {} shard(s) to {} survivor(s)",
-                                dead.conn.id,
-                                dead.shards.len(),
-                                fleet.len()
-                            );
-                        }
-                        if rec.hub().is_enabled() {
-                            rec.hub().add("health.node_failures", 1);
-                        }
-                        // A dead node never reaches JobDone; its last
-                        // periodic stats push is all the telemetry
-                        // that survives it.
-                        if let Some(s) = dead.last_stats {
-                            dead_stats.push(s);
-                        }
-                        let moved = dead.shards.len();
-                        rspan.attr_int("node", dead.conn.id as i64);
-                        rspan.attr_int("round", round as i64);
-                        rspan.attr_int("attempt", attempt as i64);
-                        rspan.attr_int("shards_reassigned", moved as i64);
-                        // Reassign orphaned shards to the least-loaded
-                        // survivors. Per-shard results keep the global
-                        // combination order independent of placement,
-                        // so balance is the only concern here.
-                        for sh in dead.shards {
-                            let tgt = (0..fleet.nodes.len())
-                                .min_by_key(|&i| fleet.nodes[i].shards.len())
-                                .expect("at least one survivor");
-                            fleet.nodes[tgt].shards.push(sh);
-                        }
-                        for n in fleet.nodes.iter_mut() {
-                            n.shards.sort_unstable();
-                        }
-                        rec.add_counter("ft.recoveries", 1);
-                        rec.add_counter("ft.shards_reassigned", moved as i64);
-                        rec.add_counter("ft.retries", 1);
-                        stats.recoveries += 1;
-                        stats.shards_reassigned += moved;
-                        stats.retries += 1;
-                        let backoff = cfg
-                            .ft
-                            .backoff
-                            .saturating_mul(1u32 << (retries_used - 1).min(16) as u32);
-                        std::thread::sleep(backoff);
-                    }
+                    } else {
+                        failure.err
+                    });
                 }
+                retries_used += 1;
+                attempt += 1;
+                let mut rspan = rec.span(TraceLevel::Phases, "ft.recover", "ft", 0);
+                let dead = fleet.remove(failure.slot);
+                // Nothing is reassigned by hand: the retry's plan maps
+                // the unchanged unit set onto the survivors. Per-unit
+                // results merged in row order keep the fold independent
+                // of that placement.
+                let moved = failure.planned;
+                if cfg.telemetry.warn {
+                    eprintln!(
+                        "cfr-dist: health: node {} failed in round {round} ({}); \
+                         re-planning {moved} unit(s) onto {} survivor(s)",
+                        dead.conn.id,
+                        failure.err,
+                        fleet.len()
+                    );
+                }
+                if rec.hub().is_enabled() {
+                    rec.hub().add("health.node_failures", 1);
+                }
+                // A dead node never reaches JobDone; its last periodic
+                // stats push is all the telemetry that survives it.
+                if let Some(s) = dead.last_stats {
+                    dead_stats.push(s);
+                }
+                rspan.attr_int("node", dead.conn.id as i64);
+                rspan.attr_int("round", round as i64);
+                rspan.attr_int("attempt", attempt as i64);
+                rspan.attr_int("shards_reassigned", moved as i64);
+                rec.add_counter("ft.recoveries", 1);
+                rec.add_counter("ft.shards_reassigned", moved as i64);
+                rec.add_counter("ft.retries", 1);
+                stats.recoveries += 1;
+                stats.shards_reassigned += moved;
+                stats.retries += 1;
+                let backoff = cfg
+                    .ft
+                    .backoff
+                    .saturating_mul(1u32 << (retries_used - 1).min(16) as u32);
+                std::thread::sleep(backoff);
             }
             if let Some(next) = tasks::step(&cfg.task, &cfg.params, &state, &merged)? {
                 state = next;
@@ -753,7 +723,7 @@ impl<'a> JobDriver<'a> {
                             round: round as u32,
                             rounds_total: rounds as u32,
                             state: state.clone(),
-                            shards: fleet.shard_map(),
+                            shards: fleet.shards.clone(),
                             robj: merged.clone(),
                         })
                         .map_err(DistError::Ft)?;
@@ -833,153 +803,88 @@ impl<'a> JobDriver<'a> {
         })
     }
 
-    /// One delivery attempt of one round: broadcast `Round` to every
-    /// live node, gather per-shard results, and merge them **in
-    /// ascending `first_row` order** into `merged`. On failure returns
-    /// the index (into the fleet) of the node that failed, for the
-    /// recovery loop to remove and reassign.
-    #[allow(clippy::too_many_arguments)]
-    fn try_round(
-        &self,
-        fleet: &mut Fleet,
-        layout: &Arc<RObjLayout>,
-        round: usize,
-        attempt: u32,
-        state: &[f64],
-        merged: &mut ReductionObject,
-        stats: &mut ClusterStats,
-    ) -> Result<(), (usize, DistError)> {
-        let rec = self.recorder;
-        let mut span = rec.span(TraceLevel::Phases, "cluster.round", "dist", 0);
-        span.attr_int("round", round as i64);
-        span.attr_int("attempt", attempt as i64);
-        for (i, n) in fleet.nodes.iter_mut().enumerate() {
-            // A mid-job joiner holds no shards until an FT reassignment
-            // gives it some; classic rounds leave it idle rather than
-            // folding in an empty shard result.
-            if n.shards.is_empty() {
-                continue;
-            }
-            n.conn
-                .send(
-                    &Message::Round {
-                        round: round as u32,
-                        attempt,
-                        state: state.to_vec(),
-                        shards: n.shards.clone(),
-                    },
-                    stats,
-                )
-                .map_err(|e| (i, e))?;
-        }
-        merged.reset();
-        let mut cspan = rec.span(TraceLevel::Phases, "cluster.combine", "dist", 0);
-        cspan.attr_int("round", round as i64);
-        let mut all: Vec<(u64, Vec<u8>, usize)> = Vec::new();
-        // Node-measured round times, for straggler detection: the
-        // coordinator's own receive order is serialised (blocking
-        // recvs node by node), so only the `elapsed_ns` each node
-        // reports is a placement-independent latency signal.
-        let mut elapsed: Vec<(usize, u64)> = Vec::with_capacity(fleet.nodes.len());
-        let hub = rec.hub();
-        for (i, n) in fleet.nodes.iter_mut().enumerate() {
-            if n.shards.is_empty() {
-                continue;
-            }
-            let recv_before = stats.bytes_recv;
-            let (results, elapsed_ns) =
-                Self::recv_round_result(n, round as u32, attempt, stats).map_err(|e| (i, e))?;
-            elapsed.push((n.conn.id, elapsed_ns));
-            if hub.is_enabled() {
-                let id = n.conn.id;
-                hub.add(metric_name(&format!("node{id}.rounds")), 1);
-                hub.observe(metric_name(&format!("node{id}.round_ns")), elapsed_ns);
-                hub.add(
-                    metric_name(&format!("node{id}.bytes")),
-                    (stats.bytes_recv - recv_before) as i64,
-                );
-            }
-            for (first, cells) in results {
-                all.push((first, cells, i));
-            }
-        }
-        self.flag_stragglers(&elapsed, round, attempt, stats);
-        // Global combination in ascending row order: the fold sequence
-        // over shards is a pure function of the shard set, not of the
-        // shard → node placement, which makes recovered runs
-        // bit-identical to undisturbed ones.
-        all.sort_by_key(|&(first, _, _)| first);
-        for (_, cells, from) in &all {
-            let shard =
-                ReductionObject::decode_cells(layout, cells).map_err(|e| (*from, e.into()))?;
-            merged.merge_from(&shard);
-        }
-        Ok(())
-    }
-
-    /// One delivery attempt of one elastic round: shards are split into
-    /// grain-sized work units, planned onto the live nodes by the
-    /// placement policy, and drained concurrently through a
-    /// [`StealQueue`] — one coordinator worker thread per node, so an
-    /// idle node steals from the back of a straggler's queue instead of
-    /// waiting at the barrier.
+    /// One delivery attempt of one round: the run's work units are
+    /// planned onto the live nodes by the placement policy and drained
+    /// concurrently through a [`StealQueue`] — one pooled worker per
+    /// node, so an idle node steals from the back of a straggler's
+    /// queue instead of waiting at the barrier.
     ///
-    /// Bit-identity survives all of this because the unit set is a pure
-    /// function of the shard map and the (run-fixed) grain — never of
-    /// live membership — and the global combination below folds the
-    /// unit results in ascending `first_row` order exactly like the
-    /// classic path folds shards. Who computed a unit, and in what
-    /// order results arrived, cannot reach the FP fold.
+    /// Bit-identity survives all of this because the unit set is fixed
+    /// for the run (see `run_rounds`) and the global combination below
+    /// folds the unit results in ascending `first_row` order. Who
+    /// computed a unit, and in what order results arrived, cannot reach
+    /// the FP fold.
     ///
     /// Nodes that announce [`Message::Leave`] mid-round hand their
     /// units back to the queue, are merged normally, and are removed
     /// from the fleet *after* the merge — a voluntary leave burns no
-    /// retry. Hard failures return `Err((slot, err))` into the same
-    /// recovery loop as classic rounds.
+    /// retry. Hard failures return a [`RoundFailure`] into the recovery
+    /// loop.
     #[allow(clippy::too_many_arguments)]
-    fn try_round_elastic(
+    fn attempt_round(
         &self,
         fleet: &mut Fleet,
         layout: &Arc<RObjLayout>,
+        units: &[WorkUnit],
         round: usize,
         attempt: u32,
         state: &[f64],
         merged: &mut ReductionObject,
         stats: &mut ClusterStats,
-        grain: u64,
         dead_stats: &mut Vec<MetricsSnapshot>,
-    ) -> Result<(), (usize, DistError)> {
+    ) -> Result<(), RoundFailure> {
         let rec = self.recorder;
         let mut span = rec.span(TraceLevel::Phases, "cluster.round", "dist", 0);
         span.attr_int("round", round as i64);
         span.attr_int("attempt", attempt as i64);
-        span.attr_int("elastic", 1);
-        let units = split_units(&fleet.shard_map(), grain);
         span.attr_int("units", units.len() as i64);
+        // Gather and combine: opened before the dispatch so an aborted
+        // attempt still shows its (partial) gather in the trace.
+        let mut cspan = rec.span(TraceLevel::Phases, "cluster.combine", "dist", 0);
+        cspan.attr_int("round", round as i64);
         let node_ids: Vec<usize> = fleet.nodes.iter().map(|n| n.conn.id).collect();
         let live_ids: Vec<u32> = node_ids.iter().map(|&id| id as u32).collect();
-        let queue = StealQueue::new(plan(&units, &live_ids, &self.config.elastic.placement));
+        let seeds = plan(units, &live_ids, &self.config.elastic.placement);
+        let planned: Vec<usize> = seeds.iter().map(Vec::len).collect();
+        let queue = StealQueue::new(seeds);
+        // Claim every node's first seeded unit before any worker runs:
+        // otherwise a fast worker could steal a whole seed (with one
+        // unit per shard, a node's entire share) from a worker that has
+        // not been scheduled yet.
+        let firsts: Vec<Option<Popped>> = planned
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| if n > 0 { queue.pop_for(i) } else { None })
+            .collect();
 
-        // One worker per node, each owning a disjoint `&mut LiveNode`.
-        // Workers are telemetry-free (the per-node byte counts travel in
-        // their WorkerOut); all spans and counters are emitted below, on
-        // this thread, in fleet order — so traces stay deterministic
-        // even though completion order is not.
-        let outs: Vec<WorkerOut> = std::thread::scope(|s| {
-            let queue = &queue;
-            let handles: Vec<_> = fleet
-                .nodes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, n)| {
-                    s.spawn(move || Self::elastic_worker(i, n, queue, round as u32, attempt, state))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| WorkerOut::panicked()))
-                .collect()
+        // One pooled worker per node, each owning a disjoint
+        // `&mut LiveNode`. Workers are telemetry-free (the per-node byte
+        // counts travel in their WorkerOut); all spans and counters are
+        // emitted below, on this thread, in fleet order — so traces
+        // stay deterministic even though completion order is not.
+        let Fleet { nodes, workers, .. } = fleet;
+        workers.ensure_workers(nodes.len());
+        let slots: Vec<Mutex<(&mut LiveNode, Option<Popped>, WorkerOut)>> = nodes
+            .iter_mut()
+            .zip(firsts)
+            .map(|(n, first)| Mutex::new((n, first, WorkerOut::default())))
+            .collect();
+        workers.dispatch(slots.len(), &|i| {
+            let mut slot = slots[i].lock().unwrap_or_else(|e| e.into_inner());
+            let (node, first, out) = &mut *slot;
+            let first = first.take();
+            *out = catch_unwind(AssertUnwindSafe(|| {
+                Self::node_round(i, node, first, &queue, round as u32, attempt, state)
+            }))
+            .unwrap_or_else(|_| {
+                queue.close();
+                WorkerOut::panicked()
+            });
         });
+        let outs: Vec<WorkerOut> = slots
+            .into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).2)
+            .collect();
 
         for o in &outs {
             stats.bytes_sent += o.stats.bytes_sent;
@@ -999,53 +904,51 @@ impl<'a> JobDriver<'a> {
                 );
             }
         }
+        let fail = |slot: usize, err: DistError| RoundFailure {
+            slot,
+            planned: planned[slot],
+            err,
+        };
         // First hard failure (lowest fleet slot) wins and feeds the
-        // classic recovery loop; stale UnitResults from this aborted
-        // attempt are drained by the (round, attempt) echo on retry.
+        // recovery loop; stale UnitResults from this aborted attempt
+        // are drained by the (round, attempt) echo on retry.
         if let Some(slot) = outs.iter().position(|o| o.err.is_some()) {
             let err = outs
                 .into_iter()
                 .nth(slot)
                 .and_then(|o| o.err)
                 .expect("slot found by position");
-            return Err((slot, err));
+            return Err(fail(slot, err));
         }
         let total: usize = outs.iter().map(|o| o.results.len()).sum();
         if total != units.len() {
-            return Err((
-                0,
-                DistError::Protocol {
-                    reason: format!(
-                        "elastic round {round} lost units: merged {total} of {}",
-                        units.len()
-                    ),
-                },
-            ));
+            let reason = format!(
+                "round {round} lost units: merged {total} of {}",
+                units.len()
+            );
+            return Err(fail(0, DistError::Protocol { reason }));
         }
 
         // Global combination in ascending row order, before any leaver
         // bookkeeping touches the fleet (slot attribution for decode
         // errors must still match the fleet the workers saw).
         merged.reset();
-        {
-            let mut cspan = rec.span(TraceLevel::Phases, "cluster.combine", "dist", 0);
-            cspan.attr_int("round", round as i64);
-            let mut all: Vec<(u64, &[u8], usize)> = outs
-                .iter()
-                .enumerate()
-                .flat_map(|(i, o)| {
-                    o.results
-                        .iter()
-                        .map(move |(first, cells)| (*first, cells.as_slice(), i))
-                })
-                .collect();
-            all.sort_by_key(|&(first, _, _)| first);
-            for (_, cells, from) in &all {
-                let shard =
-                    ReductionObject::decode_cells(layout, cells).map_err(|e| (*from, e.into()))?;
-                merged.merge_from(&shard);
-            }
+        let mut all: Vec<(u64, &[u8], usize)> = outs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, o)| {
+                o.results
+                    .iter()
+                    .map(move |(first, cells)| (*first, cells.as_slice(), i))
+            })
+            .collect();
+        all.sort_by_key(|&(first, _, _)| first);
+        for &(_, cells, from) in &all {
+            let unit =
+                ReductionObject::decode_cells(layout, cells).map_err(|e| fail(from, e.into()))?;
+            merged.merge_from(&unit);
         }
+        drop(cspan);
 
         let elapsed: Vec<(usize, u64)> = outs
             .iter()
@@ -1080,10 +983,8 @@ impl<'a> JobDriver<'a> {
         }
 
         // Leavers last, in descending slot order so earlier slots stay
-        // valid while later ones are removed. Their shards go to the
-        // least-loaded survivors (same balance rule as FT recovery),
-        // keeping the shard map's range *set* — and therefore the unit
-        // set — unchanged.
+        // valid while later ones are removed. Their rows need no
+        // handover: the next round's plan covers the survivors.
         let leavers: Vec<usize> = outs
             .iter()
             .enumerate()
@@ -1116,35 +1017,23 @@ impl<'a> JobDriver<'a> {
                 eprintln!("cfr-dist: health: node {id} left the fleet after round {round}");
             }
             if fleet.is_empty() {
-                return Err((
-                    0,
-                    DistError::Protocol {
-                        reason: format!("all nodes left the fleet in round {round}"),
-                    },
-                ));
-            }
-            for sh in gone.shards {
-                let tgt = (0..fleet.nodes.len())
-                    .min_by_key(|&i| fleet.nodes[i].shards.len())
-                    .expect("at least one survivor");
-                fleet.nodes[tgt].shards.push(sh);
-            }
-            for n in fleet.nodes.iter_mut() {
-                n.shards.sort_unstable();
+                let reason = format!("all nodes left the fleet in round {round}");
+                return Err(fail(0, DistError::Protocol { reason }));
             }
         }
         Ok(())
     }
 
-    /// The per-node driver thread of one elastic round attempt:
-    /// RoundStart, then pop/send/await units until the queue drains,
-    /// then RoundEnd. Any hard failure closes the queue so sibling
-    /// workers unblock instead of waiting on in-flight work that will
-    /// never complete; a Leave answer hands work back and exits
-    /// cleanly.
-    fn elastic_worker(
+    /// One node's share of one round attempt, run on its pooled
+    /// worker: RoundStart, then send/await units — `first`, then pops
+    /// — until the queue drains, then RoundEnd. Any hard failure closes
+    /// the queue so sibling workers unblock instead of waiting on
+    /// in-flight work that will never complete; a Leave answer hands
+    /// work back and exits cleanly.
+    fn node_round(
         slot: usize,
         node: &mut LiveNode,
+        first: Option<Popped>,
         queue: &StealQueue,
         round: u32,
         attempt: u32,
@@ -1166,7 +1055,8 @@ impl<'a> JobDriver<'a> {
             fail(&mut out, e);
             return out;
         }
-        while let Some(popped) = queue.pop_for(slot) {
+        let mut next = first;
+        while let Some(popped) = next.take().or_else(|| queue.pop_for(slot)) {
             let unit = popped.unit;
             if let Err(e) = node.conn.send(
                 &Message::Unit {
@@ -1212,9 +1102,10 @@ impl<'a> JobDriver<'a> {
                             queue.done();
                             break;
                         }
-                        // A leftover from an attempt a failure aborted;
-                        // discard and keep reading, like the classic
-                        // (round, attempt) echo drain.
+                        // A leftover from an attempt a failure aborted
+                        // (the node had already computed it when the
+                        // coordinator moved on); discard and keep
+                        // reading.
                         let stale = r < round || (r == round && a < attempt);
                         if !stale {
                             fail(
@@ -1320,60 +1211,6 @@ impl<'a> JobDriver<'a> {
                     ns as f64 / 1e6,
                     median as f64 / 1e6
                 );
-            }
-        }
-    }
-
-    /// Receive the `(round, attempt)` result from one node, absorbing
-    /// in-band periodic stats pushes and draining stale results of
-    /// aborted earlier attempts. Returns the per-shard cells and the
-    /// node-measured round time.
-    fn recv_round_result(
-        node: &mut LiveNode,
-        round: u32,
-        attempt: u32,
-        stats: &mut ClusterStats,
-    ) -> Result<RoundShards, DistError> {
-        let conn = &mut node.conn;
-        loop {
-            let msg = conn.recv("RoundResult", stats)?;
-            if let Message::Stats { metrics, .. } = &msg {
-                // Periodic node push: remember the latest snapshot and
-                // keep waiting for the round result proper.
-                node.last_stats = Some(MetricsSnapshot::decode_bin(metrics)?);
-                continue;
-            }
-            let Message::RoundResult {
-                round: got_round,
-                attempt: got_attempt,
-                elapsed_ns,
-                shards,
-            } = msg
-            else {
-                return Err(DistError::Protocol {
-                    reason: format!(
-                        "node {}: expected RoundResult, got {}",
-                        conn.id,
-                        msg.kind_name()
-                    ),
-                });
-            };
-            if (got_round, got_attempt) == (round, attempt) {
-                return Ok((shards, elapsed_ns));
-            }
-            // A result for the same round under a lower attempt (or an
-            // already-completed round) is a leftover from an attempt a
-            // failure aborted — the node had already computed it when
-            // the coordinator moved on. Discard and keep reading.
-            let stale = got_round < round || (got_round == round && got_attempt < attempt);
-            if !stale {
-                return Err(DistError::Protocol {
-                    reason: format!(
-                        "node {}: RoundResult for round {got_round} attempt {got_attempt}, \
-                         expected {round}/{attempt}",
-                        conn.id
-                    ),
-                });
             }
         }
     }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use freeride_dist::proto::{read_message, write_message, Message};
 use freeride_dist::{
-    resume_loopback, run_loopback, ClusterConfig, Coordinator, DistError, LoopbackCluster,
+    resume_loopback, run_loopback, ClusterConfig, Coordinator, DistError, LoopbackCluster, NodeOpts,
 };
 use obs::TraceLevel;
 
@@ -160,7 +160,8 @@ fn silent_node_trips_read_timeout() {
 fn version_mismatched_frame_rejected_over_socket() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || freeride_dist::node::serve(&listener));
+    let server =
+        std::thread::spawn(move || freeride_dist::node::serve(&listener, &NodeOpts::default()));
     let mut stream = TcpStream::connect(addr).unwrap();
     let mut frame = Message::Hello { node_id: 0 }.encode();
     frame[4] = 99; // wire version byte
@@ -368,6 +369,17 @@ fn kmeans_data() -> Vec<f64> {
         .collect()
 }
 
+/// `n` healthy loopback agents, except that each `(node, rounds)` entry
+/// dies mid-round after answering that many rounds.
+fn dying(n: usize, deaths: &[(usize, u32)]) -> Vec<NodeOpts> {
+    (0..n)
+        .map(|id| NodeOpts {
+            die_after_rounds: deaths.iter().find(|d| d.0 == id).map(|d| d.1),
+            ..NodeOpts::default()
+        })
+        .collect()
+}
+
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
@@ -385,7 +397,7 @@ fn killed_node_recovery_is_bit_identical_for_kmeans() {
 
         // Node 1 answers one round, then severs its connection
         // mid-round — what a SIGKILLed process looks like on the wire.
-        let cluster = LoopbackCluster::spawn_with_chaos(nodes, &[(1, 1)]).unwrap();
+        let cluster = LoopbackCluster::spawn_with(&dying(nodes, &[(1, 1)])).unwrap();
         let mut cfg = kmeans_cfg(&path, 3);
         cfg.trace = TraceLevel::Phases;
         let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -419,7 +431,7 @@ fn killed_node_recovery_is_bit_identical_for_sum() {
     let path = dataset("ft-sum", 4, &data);
     let baseline = run_loopback(ClusterConfig::new("sum", &path), 4).unwrap();
 
-    let cluster = LoopbackCluster::spawn_with_chaos(4, &[(2, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&dying(4, &[(2, 0)])).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_secs(5);
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -435,7 +447,7 @@ fn killed_node_recovery_is_bit_identical_for_sum() {
 fn killed_node_with_no_survivors_is_typed_error() {
     let data = vec![1.0; 64];
     let path = dataset("ft-lonely", 2, &data);
-    let cluster = LoopbackCluster::spawn_with_chaos(1, &[(0, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&dying(1, &[(0, 0)])).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
     let start = std::time::Instant::now();
@@ -457,7 +469,7 @@ fn retry_budget_exhaustion_is_typed() {
     let path = dataset("ft-budget", 2, &data);
     // Two of three nodes die on their first round; budget allows one
     // recovery.
-    let cluster = LoopbackCluster::spawn_with_chaos(3, &[(1, 0), (2, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&dying(3, &[(1, 0), (2, 0)])).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
     cfg.ft.max_retries = 1;
@@ -482,7 +494,7 @@ fn retry_budget_exhaustion_is_typed() {
 fn reassign_false_fails_fast() {
     let data = vec![1.0; 120];
     let path = dataset("ft-failfast", 2, &data);
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(0, 0)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&dying(2, &[(0, 0)])).unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.read_timeout = Duration::from_millis(500);
     cfg.ft.reassign = false;
@@ -544,7 +556,7 @@ fn resume_after_coordinator_crash_is_bit_identical() {
 
     // The "crashing" run: recovery disabled so the node kill after two
     // answered rounds aborts the job, leaving checkpoints 0 and 1.
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(0, 2)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&dying(2, &[(0, 2)])).unwrap();
     let mut cfg = kmeans_cfg(&path, 5);
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.ft.reassign = false;
@@ -616,7 +628,7 @@ fn resume_without_checkpoints_is_typed_error() {
 }
 
 /// Concurrent coordinator sessions multiplexed onto one shared fleet
-/// ([`node::serve_concurrent`] via `spawn_concurrent`) produce exactly
+/// ([`node::serve`] with `sessions: 2`, via `spawn_concurrent`) produce exactly
 /// the results of isolated runs — the shape the `cfr-serve` daemon
 /// relies on.
 #[test]
@@ -763,7 +775,7 @@ fn live_counters_bit_match_trace_reconstruction() {
     assert_eq!(telemetry.counter("io.chunks"), trace_chunks as i64);
     // One node.pass span per shard pass; the live counter agrees.
     assert_eq!(
-        telemetry.counter("node.shards"),
+        telemetry.counter("node.units"),
         trace.count("node.pass") as i64
     );
 
@@ -792,7 +804,14 @@ fn slow_node_is_flagged_as_straggler() {
     let path = dataset("straggler", 4, &data);
     let baseline = run_loopback(ClusterConfig::new("sum", &path), 2).unwrap();
 
-    let cluster = LoopbackCluster::spawn_with_slow(2, &[(1, 60)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&[
+        NodeOpts::default(),
+        NodeOpts {
+            slow: Duration::from_millis(60),
+            ..NodeOpts::default()
+        },
+    ])
+    .unwrap();
     let mut cfg = ClusterConfig::new("sum", &path);
     cfg.rounds = 3;
     cfg.trace = TraceLevel::Phases;
@@ -848,7 +867,7 @@ fn dead_node_last_stats_push_survives_into_aggregate() {
 
     // Node 1 pushes stats every round and dies mid-round after
     // answering one round.
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(1, 1)]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&dying(2, &[(1, 1)])).unwrap();
     let mut cfg = kmeans_cfg(&path, 3);
     cfg.trace = TraceLevel::Phases;
     cfg.telemetry.stats_every = 1;

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use freeride_dist::{
     node, run_loopback, ClusterConfig, Coordinator, JobDriver, LoopbackCluster, MembershipHub,
+    NodeOpts,
 };
 use obs::{Recorder, TraceLevel};
 
@@ -95,7 +96,14 @@ fn steal_under_slow_node_is_bit_identical() {
     // steal count.)
     let baseline = run_loopback(elastic(kmeans_cfg(&path, 3), 10), 2).unwrap();
 
-    let cluster = LoopbackCluster::spawn_elastic(2, &[(1, 20)], &[]).unwrap();
+    let cluster = LoopbackCluster::spawn_with(&[
+        NodeOpts::default(),
+        NodeOpts {
+            slow: Duration::from_millis(20),
+            ..NodeOpts::default()
+        },
+    ])
+    .unwrap();
     let mut cfg = elastic(kmeans_cfg(&path, 3), 10);
     cfg.trace = TraceLevel::Phases;
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -132,7 +140,7 @@ fn mid_job_join_is_bit_identical_and_counted() {
 
     let hub = MembershipHub::bind("127.0.0.1:0").unwrap();
     let hub_addr = hub.addr();
-    let joiner = std::thread::spawn(move || node::join(&hub_addr, 0, None));
+    let joiner = std::thread::spawn(move || node::join(&hub_addr, &NodeOpts::default()));
     for _ in 0..400 {
         if hub.pending_count() == 1 {
             break;
@@ -181,7 +189,12 @@ fn voluntary_leave_is_bit_identical_and_burns_no_retry() {
 
     // Node 2 answers round 0, then replies to round 1's RoundStart
     // with Leave.
-    let cluster = LoopbackCluster::spawn_elastic(3, &[], &[(2, 1)]).unwrap();
+    let leaver = NodeOpts {
+        leave_after_rounds: Some(1),
+        ..NodeOpts::default()
+    };
+    let cluster =
+        LoopbackCluster::spawn_with(&[NodeOpts::default(), NodeOpts::default(), leaver]).unwrap();
     let mut cfg = elastic(kmeans_cfg(&path, 4), 10);
     cfg.trace = TraceLevel::Phases;
     let out = Coordinator::new(cfg).run(cluster.addrs()).unwrap();
@@ -210,7 +223,7 @@ fn join_then_leave_composes_bit_identically() {
 
     let hub = MembershipHub::bind("127.0.0.1:0").unwrap();
     let hub_addr = hub.addr();
-    let joiner = std::thread::spawn(move || node::join(&hub_addr, 0, None));
+    let joiner = std::thread::spawn(move || node::join(&hub_addr, &NodeOpts::default()));
     for _ in 0..400 {
         if hub.pending_count() == 1 {
             break;
@@ -218,7 +231,11 @@ fn join_then_leave_composes_bit_identically() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // Node 1 leaves after handling 2 rounds.
-    let cluster = LoopbackCluster::spawn_elastic(2, &[], &[(1, 2)]).unwrap();
+    let leaver = NodeOpts {
+        leave_after_rounds: Some(2),
+        ..NodeOpts::default()
+    };
+    let cluster = LoopbackCluster::spawn_with(&[NodeOpts::default(), leaver]).unwrap();
     let cfg = elastic(kmeans_cfg(&path, 4), 10);
     let rec = Arc::new(Recorder::new(cfg.trace));
     let out = JobDriver::new(&cfg, &rec)

@@ -31,8 +31,9 @@ pub use units::{auto_grain, split_units, WorkUnit};
 /// Elastic scheduling knobs, carried on the cluster config.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ElasticPolicy {
-    /// Drive rounds through the work-stealing unit executor instead of
-    /// one monolithic shard message per node.
+    /// Selects the work-unit grain: `true` cuts shards into
+    /// `steal_grain`-row units so idle nodes can steal a straggler's
+    /// remaining rows; `false` means grain 0 — one unit per shard.
     pub steal: bool,
     /// Rows per work unit; 0 lets the driver pick [`auto_grain`].
     pub steal_grain: u64,
@@ -41,11 +42,4 @@ pub struct ElasticPolicy {
     pub join_listen: Option<String>,
     /// Declarative placement of units onto nodes.
     pub placement: PlacementPolicy,
-}
-
-impl ElasticPolicy {
-    /// True when the policy changes nothing about a classic run.
-    pub fn is_static(&self) -> bool {
-        !self.steal && self.join_listen.is_none()
-    }
 }

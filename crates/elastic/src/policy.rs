@@ -28,11 +28,6 @@ pub struct PlacementPolicy {
 }
 
 impl PlacementPolicy {
-    /// True when the policy is exactly the default behaviour.
-    pub fn is_default(&self) -> bool {
-        self.weights.is_empty() && self.pin.is_empty() && self.anti_affinity.is_empty()
-    }
-
     /// Effective weight of `node` (always finite and positive).
     pub fn weight(&self, node: u32) -> f64 {
         match self.weights.get(node as usize) {

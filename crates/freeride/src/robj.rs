@@ -588,6 +588,18 @@ impl ReductionObject {
     }
 }
 
+/// FNV-1a, 64-bit: the workspace's one content hash — FRCK checkpoint
+/// checksums, codegen artifact names and the job server's
+/// program-cache keys all depend on its exact values.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod robj_tests {
     use super::*;
@@ -597,6 +609,13 @@ mod robj_tests {
             GroupSpec::new("sums", 4, CombineOp::Sum),
             GroupSpec::new("mins", 2, CombineOp::Min),
         ])
+    }
+
+    #[test]
+    fn fnv1a64_known_answers() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

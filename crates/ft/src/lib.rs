@@ -28,7 +28,7 @@ mod error;
 mod store;
 
 pub use error::FtError;
-pub use store::{fnv1a64, Checkpoint, CheckpointStore, SavedCheckpoint, CKPT_MAGIC, CKPT_VERSION};
+pub use store::{Checkpoint, CheckpointStore, SavedCheckpoint, CKPT_MAGIC, CKPT_VERSION};
 
 #[cfg(test)]
 mod store_tests {

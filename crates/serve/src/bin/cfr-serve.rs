@@ -1,7 +1,7 @@
 //! cfr-serve — the persistent FREERIDE job server daemon.
 //!
 //! Binds a listen socket, connects admitted jobs to an externally
-//! launched `cfr-node` fleet (the nodes must run `--concurrent`), and
+//! launched `cfr-node` fleet (run the nodes with `--sessions 0`), and
 //! serves until a client sends `StopServer`, then drains and exits.
 //!
 //! ```text

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use cfr_core::{CompiledProgram, OptLevel, Translator};
 use chapel_interp::RtValue;
+use freeride::fnv1a64;
 use freeride_dist::{tasks, ClusterConfig, DistError, JobDriver};
 use obs::{
     render_prometheus, AttrValue, FlightRecorder, MetricsSnapshot, Recorder, Trace, TraceLevel,
@@ -48,7 +49,8 @@ use crate::proto::{
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Addresses of the `cfr-node` fleet task jobs run on. Every node
-    /// must serve sessions concurrently (`cfr-node --concurrent` or
+    /// must accept as many sessions as the server will run jobs
+    /// (`cfr-node --sessions 0` or
     /// [`freeride_dist::LoopbackCluster::spawn_concurrent`]), since the
     /// server multiplexes jobs onto the fleet.
     pub nodes: Vec<SocketAddr>,
@@ -991,14 +993,4 @@ fn flatten_global(name: &str, value: &RtValue) -> Result<Vec<f64>, String> {
             .as_f64()
             .map_err(|e| format!("global `{name}` is not numeric: {e}"))?]),
     }
-}
-
-/// FNV-1a over the program source — the compiled-program cache key.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

@@ -130,7 +130,7 @@ fn cluster_chrome_export_has_multi_node_shape() {
 /// coordinator adds one `ft.recover`, one retried `cluster.round`, and
 /// two `ft.checkpoint` spans.
 fn golden_ft_cluster_run() -> Trace {
-    use freeride_dist::{ClusterConfig, Coordinator, LoopbackCluster};
+    use freeride_dist::{ClusterConfig, Coordinator, LoopbackCluster, NodeOpts};
     let mut path = std::env::temp_dir();
     path.push(format!("cfr-golden-ft-{}.frds", std::process::id()));
     let mut dir = std::env::temp_dir();
@@ -139,7 +139,12 @@ fn golden_ft_cluster_run() -> Trace {
     freeride::source::write_dataset(&path, 4, &cfr_apps::data::kmeans_points_flat(200, 4))
         .expect("write dataset");
 
-    let cluster = LoopbackCluster::spawn_with_chaos(2, &[(1, 1)]).expect("spawn chaos cluster");
+    let dying = NodeOpts {
+        die_after_rounds: Some(1),
+        ..NodeOpts::default()
+    };
+    let cluster =
+        LoopbackCluster::spawn_with(&[NodeOpts::default(), dying]).expect("spawn chaos cluster");
     let mut cfg = ClusterConfig::new("kmeans", &path);
     cfg.params = vec![3, 4];
     cfg.init_state = cfr_apps::data::kmeans_centroids_flat(3, 4);
