@@ -17,7 +17,7 @@ trap cleanup EXIT INT TERM
 cargo build --release
 cargo test -q
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # The whole workspace is held rustfmt-clean.
 cargo fmt --all --check
 
@@ -29,6 +29,20 @@ for i in 1 2 3 4 5; do
   CFR_CODEGEN_DIR=$CODEGEN_DIR cargo test -p freeride-dist --test cluster cluster_compiled_run
   rm -rf "$CODEGEN_DIR"
 done
+
+# Compiled opt-2 vs manual FREERIDE (the paper's headline claim, DESIGN.md
+# §14): a short traced dense-translated benchmark run must stay correct
+# (compiled bit-identical to the interpreter, every pass matching manual
+# FR) and keep the compiled kernel within 2x of manual FR. A ratio of two
+# runs on the same host survives a noisy 2-vCPU machine better than
+# absolute seconds.
+DENSE=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload dense-translated --seed 1 --seconds 5 --trace 1 | tail -n 1)
+echo "$DENSE" | grep -q '"correct": true' || {
+  echo "dense-translated: correct is false" >&2; exit 1; }
+VS_MANUAL=$(echo "$DENSE" | sed -n 's/.*"codegen.vs_manual": {"value": \([^,]*\),.*/\1/p')
+awk -v r="$VS_MANUAL" 'BEGIN { exit !(r != "" && r > 0 && r <= 2.0) }' || {
+  echo "dense-translated: codegen.vs_manual = '$VS_MANUAL', gate is 2.0" >&2; exit 1; }
 
 # Observability: a traced run must export a Chrome trace that
 # trace-check accepts, with engine spans present (DESIGN.md §8).

@@ -15,18 +15,30 @@ fn scalar_layout(cells: usize) -> std::sync::Arc<RObjLayout> {
     RObjLayout::new(vec![GroupSpec::new("out", cells, CombineOp::Sum)])
 }
 
+/// One split of input: rows of `unit` slots from global row
+/// `first_row`, whose Chapel loop value is `row_lo + first_row`.
+struct Rows<'a> {
+    rows: &'a [f64],
+    unit: usize,
+    first_row: usize,
+    row_lo: i64,
+}
+
 /// Run `kernel` through both backends over the same split; return both
 /// reduction objects' group-0 cells.
 fn run_both(
     kernel: &Kernel,
-    rows: &[f64],
-    unit: usize,
-    first_row: usize,
-    row_lo: i64,
+    input: Rows<'_>,
     nested: Vec<Value>,
     flat: Vec<Vec<f64>>,
     cells: usize,
 ) -> (Vec<f64>, Vec<f64>) {
+    let Rows {
+        rows,
+        unit,
+        first_row,
+        row_lo,
+    } = input;
     let split = Split {
         rows,
         unit,
@@ -184,7 +196,18 @@ fn arithmetic_identity() {
         out_names: vec!["out".into()],
     };
     let rows: Vec<f64> = (0..64).map(|i| (i as f64) * 0.61 - 7.3).collect();
-    let (a, b) = run_both(&kernel, &rows, 1, 5, 1, vec![], vec![], 1);
+    let (a, b) = run_both(
+        &kernel,
+        Rows {
+            rows: &rows,
+            unit: 1,
+            first_row: 5,
+            row_lo: 1,
+        },
+        vec![],
+        vec![],
+        1,
+    );
     assert_bit_identical(&a, &b);
 }
 
@@ -260,7 +283,18 @@ fn control_flow_identity() {
         out_names: vec!["out".into()],
     };
     let rows: Vec<f64> = (0..32 * 4).map(|i| ((i * 37) % 11) as f64 * 0.5).collect();
-    let (a, b) = run_both(&kernel, &rows, 4, 0, 1, vec![], vec![], 1);
+    let (a, b) = run_both(
+        &kernel,
+        Rows {
+            rows: &rows,
+            unit: 4,
+            first_row: 0,
+            row_lo: 1,
+        },
+        vec![],
+        vec![],
+        1,
+    );
     assert_bit_identical(&a, &b);
 }
 
@@ -342,7 +376,18 @@ fn state_access_identity() {
     ];
     let flat = vec![Vec::new(), vec![10.0, 20.0, 30.0]];
     let rows: Vec<f64> = (0..48).map(|i| i as f64).collect();
-    let (a, b) = run_both(&kernel, &rows, 1, 0, 1, nested, flat, 1);
+    let (a, b) = run_both(
+        &kernel,
+        Rows {
+            rows: &rows,
+            unit: 1,
+            first_row: 0,
+            row_lo: 1,
+        },
+        nested,
+        flat,
+        1,
+    );
     assert_bit_identical(&a, &b);
     assert_ne!(a[0], 0.0, "test must exercise the state reads");
 }

@@ -208,7 +208,6 @@ mod tests {
             weights: vec![1.0, 2.0, 1.5],
             pin: vec![(10, 5, 2)],
             anti_affinity: vec![(50, 10, 1)],
-            ..PlacementPolicy::default()
         };
         let a = plan(&units, &[0, 1, 2], &policy);
         let b = plan(&units, &[0, 1, 2], &policy);

@@ -165,7 +165,12 @@ impl Histogram {
                     reason: format!("histogram bucket index {i} out of range"),
                 });
             }
-            h.buckets[i as usize] += c;
+            let Some(b) = h.buckets[i as usize].checked_add(c) else {
+                return Err(TraceDecodeError {
+                    reason: format!("histogram bucket {i} count overflows"),
+                });
+            };
+            h.buckets[i as usize] = b;
             h.count = h.count.saturating_add(c);
         }
         h.sum = sum;

@@ -6,7 +6,7 @@
 //! shared fleet — finishes **bit-identical** to a serial one-shot
 //! `Coordinator` run of the same configuration.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cfr_serve::{Client, JobSpec, ServeConfig, ServeError, Server};
@@ -28,7 +28,7 @@ fn kmeans_data() -> Vec<f64> {
 
 /// The serve-side k-means spec and the equivalent one-shot config; the
 /// pair must stay in lockstep for the bit-identity comparisons.
-fn kmeans_spec(path: &PathBuf, rounds: u32) -> JobSpec {
+fn kmeans_spec(path: &Path, rounds: u32) -> JobSpec {
     JobSpec::Task {
         task: "kmeans".into(),
         params: vec![3, 2],
